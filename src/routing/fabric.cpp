@@ -48,22 +48,7 @@ RoutingFabric::RoutingFabric(const Topology& topology,
   }
   const std::size_t n = topology.graph.broker_count();
   tables_.resize(n);
-  if (options_.engine == MatchEngine::kReference) {
-    broker_indexes_.resize(n);
-  } else {
-    matching::MatchFabricOptions match_options;
-    match_options.shards = options_.match_shards;
-    match_options.covering = options_.covering;
-    match_options.promote_rows = options_.match_promote_rows;
-    match_options.compile_hot_hits = options_.match_compile_hot_hits;
-    broker_fabrics_.resize(n);
-    broker_scratches_.resize(n);
-    for (std::size_t b = 0; b < n; ++b) {
-      broker_fabrics_[b] = std::make_unique<matching::MatchFabric>(
-          match_options, &match_domain_);
-      broker_scratches_[b] = std::make_unique<matching::MatchScratch>();
-    }
-  }
+  broker_indexes_.resize(n);
   if (options_.repairable) {
     graph_ = topology.graph;
     publisher_edges_ = topology.publisher_edges;
@@ -183,18 +168,11 @@ RoutingFabric::RoutingFabric(const Topology& topology,
 
 void RoutingFabric::install_match_row(BrokerId broker,
                                       const Subscription& sub) {
-  if (options_.engine == MatchEngine::kReference) {
-    const auto id = broker_indexes_[broker].add(sub.filter);
-    for (const Filter& f : sub.or_filters) {
-      broker_indexes_[broker].add_disjunct(id, f);
-    }
-    return;
-  }
-  const matching::RowId row =
-      broker_fabrics_[broker]->add(sub.filter, sub.or_filters);
-  (void)row;
-  assert(row + 1 == tables_[broker].size() &&
-         "matching row ids must mirror table row indices");
+  SubscriptionIndex& index = broker_indexes_[broker];
+  const auto id = index.add(sub.filter);
+  for (const Filter& f : sub.or_filters) index.add_disjunct(id, f);
+  assert(id + 1 == tables_[broker].size() &&
+         "index ids must mirror table row indices");
 }
 
 std::vector<const SubscriptionEntry*> RoutingFabric::match_at(
@@ -207,29 +185,10 @@ std::vector<const SubscriptionEntry*> RoutingFabric::match_at(
 void RoutingFabric::match_at(
     BrokerId broker, const Message& message,
     std::vector<const SubscriptionEntry*>& out) const {
-  if (options_.engine == MatchEngine::kReference) {
-    out.clear();
-    const SubscriptionTable& table = tables_[broker];
-    for (const auto id : broker_indexes_[broker].match(message)) {
-      out.push_back(&table.entries()[id]);
-    }
-    return;
-  }
-  match_at(broker, message, *broker_scratches_[broker], out);
-}
-
-void RoutingFabric::match_at(
-    BrokerId broker, const Message& message, matching::MatchScratch& scratch,
-    std::vector<const SubscriptionEntry*>& out) const {
-  if (options_.engine == MatchEngine::kReference) {
-    match_at(broker, message, out);
-    return;
-  }
   out.clear();
   const SubscriptionTable& table = tables_[broker];
-  for (const matching::RowId row :
-       broker_fabrics_[broker]->match(message, scratch)) {
-    out.push_back(&table.entries()[row]);
+  for (const auto id : broker_indexes_[broker].match(message)) {
+    out.push_back(&table.entries()[id]);
   }
 }
 

@@ -106,10 +106,6 @@ struct Reactor::Worker {
   std::condition_variable cv;
   std::thread thread;
   std::vector<Inbound> drain_scratch;
-  /// Worker-owned matching scratch: with the sharded engine, every worker
-  /// matches lock-free against any broker it owns through one epoch slot
-  /// (instead of one slot per broker).
-  matching::MatchScratch match_scratch;
 };
 
 Reactor::Reactor(const Topology* topology, const RoutingFabric* fabric,
@@ -414,7 +410,7 @@ void Reactor::on_rx_done(Worker& worker, BrokerId broker) {
   // Same admission pipeline as the legacy receiver and the simulator
   // broker: match scratch + sorted-slot fan-out grouping, kernel rows
   // folded here so pick/purge callbacks never touch the table.
-  fabric_->match_at(broker, *message, worker.match_scratch, state.matched);
+  fabric_->match_at(broker, *message, state.matched);
   state.grouper.group(state.matched, *message);
 
   for (const SubscriptionEntry* entry : state.grouper.local()) {

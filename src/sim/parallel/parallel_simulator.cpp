@@ -853,6 +853,9 @@ void ParallelSimulator::process_shard(std::size_t shard_index,
       case EventType::kLinkFailure:
         handle_link_failure(shard, event);
         break;
+      case EventType::kFault:
+        // Fault batches apply at window barriers, on the coordinator.
+        throw std::logic_error("fault batch event reached a lane");
     }
     record.ops_end = static_cast<std::uint32_t>(shard.ops.size());
     record.children_end = static_cast<std::uint32_t>(shard.children.size());

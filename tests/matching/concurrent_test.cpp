@@ -16,7 +16,6 @@
 
 #include "common/random.h"
 #include "matching/sharded_index.h"
-#include "routing/fabric.h"
 #include "workload/generator.h"
 
 namespace bdps::matching {
@@ -367,85 +366,6 @@ TEST(MatchFabricConcurrent, ManyScratchesShareOneDomainSlotPool) {
     });
   }
   for (std::thread& t : threads) t.join();
-}
-
-/// Satellite: concurrent match_at from distinct brokers (the reactor's
-/// broker-ownership layout) — and, under kSharded, from the *same* broker
-/// with caller scratches — is race-free and agrees with the sequential
-/// answer.
-TEST(RoutingFabricConcurrent, MatchAtFromDistinctBrokersIsRaceFree) {
-  // Star-of-chains topology: publisher at the hub, subscribers spread over
-  // every chain so most brokers carry rows.
-  Rng rng(3);
-  Topology topo;
-  constexpr std::size_t kBrokers = 16;
-  topo.graph.resize(kBrokers);
-  for (std::size_t b = 1; b < kBrokers; ++b) {
-    topo.graph.add_bidirectional(0, static_cast<BrokerId>(b),
-                                 LinkParams{50.0 + 2.0 * b, 10.0});
-  }
-  topo.publisher_edges = {0};
-  std::vector<Subscription> subs;
-  for (std::size_t s = 0; s < 64; ++s) {
-    Subscription sub;
-    sub.subscriber = static_cast<SubscriberId>(s);
-    sub.home = static_cast<BrokerId>(1 + s % (kBrokers - 1));
-    topo.subscriber_homes.push_back(sub.home);
-    Filter f;
-    f.where("A1", Op::kLt, Value(rng.uniform(0.0, 10.0)));
-    if (s % 3 == 0) f.where("A2", Op::kGe, Value(rng.uniform(0.0, 10.0)));
-    sub.filter = std::move(f);
-    subs.push_back(std::move(sub));
-  }
-
-  FabricOptions options;
-  options.engine = MatchEngine::kSharded;
-  const RoutingFabric fabric(topo, std::move(subs), options);
-
-  std::vector<Message> probes;
-  for (int i = 0; i < 24; ++i) {
-    probes.emplace_back(i, 0, 0.0, 1.0,
-                        std::vector<Attribute>{
-                            {"A1", Value(rng.uniform(0.0, 10.0))},
-                            {"A2", Value(rng.uniform(0.0, 10.0))}});
-  }
-
-  // Sequential ground truth, then the racing replay.
-  std::vector<std::vector<std::vector<const SubscriptionEntry*>>> expect(
-      kBrokers);
-  for (BrokerId b = 0; b < static_cast<BrokerId>(kBrokers); ++b) {
-    for (const Message& m : probes) expect[b].push_back(fabric.match_at(b, m));
-  }
-
-  std::vector<std::thread> threads;
-  for (BrokerId b = 0; b < static_cast<BrokerId>(kBrokers); ++b) {
-    threads.emplace_back([&, b] {
-      std::vector<const SubscriptionEntry*> out;
-      for (int round = 0; round < 20; ++round) {
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-          fabric.match_at(b, probes[i], out);
-          ASSERT_EQ(out, expect[b][i]);
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  // Same broker, many threads, caller-owned scratches (kSharded only).
-  std::vector<std::thread> same_broker;
-  for (int t = 0; t < 4; ++t) {
-    same_broker.emplace_back([&] {
-      MatchScratch scratch;
-      std::vector<const SubscriptionEntry*> out;
-      for (int round = 0; round < 40; ++round) {
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-          fabric.match_at(1, probes[i], scratch, out);
-          ASSERT_EQ(out, expect[1][i]);
-        }
-      }
-    });
-  }
-  for (std::thread& t : same_broker) t.join();
 }
 
 }  // namespace
