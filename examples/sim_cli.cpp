@@ -2,11 +2,14 @@
 // line, one result block on stdout.  The Swiss-army knife for exploring the
 // system beyond the canned figures.
 //
-//   ./examples/sim_cli scenario=SSD strategy=EBPC r=0.6 rate=12 minutes=60 \
+//   ./examples/sim_cli scenario=SSD strategy=EBPC r=0.6 rate=12 minutes=60
 //       topology=mesh brokers=48 eps=0.001 multipath=1 online_est=1 seed=9
 //
-// Run with `help` for the full knob list.
+// (one command line).  Run with `help` for the full knob list.  An invalid
+// value (unknown strategy, scenario or topology name) prints
+// `error: <reason>` to stderr and exits with status 2.
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <sstream>
 
@@ -56,9 +59,7 @@ TopologyKind parse_topology(const std::string& name) {
   throw std::invalid_argument("unknown topology: " + name);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
   for (const auto& pos : args.positional()) {
     if (pos == "help" || pos == "--help" || pos == "-h") {
@@ -161,4 +162,15 @@ int main(int argc, char** argv) {
   std::printf("mean valid delay   %10.0f ms\n", r.mean_valid_delay_ms);
   std::printf("drained at         %10.1f s\n", r.end_time / 1000.0);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -27,7 +27,7 @@ void FanOutGrouper::group(
     group.targets.clear();
   }
   for (const SubscriptionEntry* entry : matched) {
-    if (entry->disabled) continue;  // Retired by routing repair.
+    assert(!entry->disabled && "match_at returns enabled rows only");
     if (!entry->serves_publisher(message.publisher())) continue;
     if (!entry->subscription->active_at(message.publish_time())) continue;
     if (entry->is_local()) {

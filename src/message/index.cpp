@@ -1,6 +1,7 @@
 #include "message/index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -160,21 +161,19 @@ const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match(
 const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match_core(
     const Message& message, Scratch& scratch) const {
   // Adapt the scratch to this index (grow-only; a fresh generation makes
-  // any stale state unreadable) and start a new generation.  Counters and
-  // external marks are reset lazily on first touch.
+  // any stale counter unreadable, and the emitted bitmap is all zero
+  // between calls) and start a new generation.  Counters are reset lazily
+  // on first touch.
   if (scratch.counter_gen.size() < entries_.size()) {
     scratch.counter_gen.resize(entries_.size(), 0);
   }
-  if (scratch.external_generation.size() < external_count_) {
-    scratch.external_generation.resize(external_count_, 0);
-  }
+  const std::size_t words = (external_count_ + 63) / 64;
+  if (scratch.emitted.size() < words) scratch.emitted.resize(words, 0);
   ++scratch.generation;
   if (scratch.generation == 0) {
     // Wrapped around: hard-reset so stale generations cannot alias.
     std::fill(scratch.counter_gen.begin(), scratch.counter_gen.end(),
               std::uint64_t{0});
-    std::fill(scratch.external_generation.begin(),
-              scratch.external_generation.end(), 0u);
     scratch.generation = 1;
   }
   const std::uint32_t generation = scratch.generation;
@@ -196,12 +195,16 @@ const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match_core(
     }
   };
 
-  // Emits an external id into the (reused) result buffer at most once per
-  // match — generation marks replace the former sort + unique pass.
+  // Marks an external id matched; [lo, hi) bounds the touched words so
+  // the read-back below skips the untouched rest of the bitmap.
+  std::uint64_t* const emitted = scratch.emitted.data();
+  std::size_t lo = words;
+  std::size_t hi = 0;
   auto emit = [&](EntryId external) {
-    if (scratch.external_generation[external] == generation) return;
-    scratch.external_generation[external] = generation;
-    scratch.result.push_back(external);
+    const std::size_t w = external / 64;
+    emitted[w] |= std::uint64_t{1} << (external % 64);
+    lo = std::min(lo, w);
+    hi = std::max(hi, w + 1);
   };
 
   for (const auto& attribute : message.head()) {
@@ -265,12 +268,21 @@ const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match_core(
     }
   }
 
-  // Canonical ascending-id order.  Matched ids feed order-sensitive
-  // floating-point reductions (kernel scoring sums, the simulator's
-  // matched-price totals), so every matching engine — this index, the
-  // sharded fabric — must emit in one agreed order to stay bitwise
-  // comparable.
-  std::sort(scratch.result.begin(), scratch.result.end());
+  // Canonical ascending-id order, each id once: the bitmap is read back
+  // word by word, lowest set bit first, and cleared for the next call.
+  // Matched ids feed order-sensitive floating-point reductions (kernel
+  // scoring sums, the simulator's matched-price totals), so every matching
+  // engine — this index, the sharded fabric — must emit in one agreed
+  // order to stay bitwise comparable.
+  for (std::size_t w = lo; w < hi; ++w) {
+    std::uint64_t bits = emitted[w];
+    emitted[w] = 0;
+    while (bits != 0) {
+      scratch.result.push_back(w * 64 +
+                               static_cast<EntryId>(std::countr_zero(bits)));
+      bits &= bits - 1;
+    }
+  }
 
   return scratch.result;
 }

@@ -16,8 +16,9 @@
 // string_view keys, no per-match allocation), the satisfied runs are flat
 // id arrays scanned branch-free (inclusive bounds are folded into the
 // sorted keys via nextafter at insert time), the result buffer is reused
-// across match() calls, and duplicate disjunct hits are suppressed by
-// generation marks on external ids instead of a final sort + unique.
+// across match() calls, and matched ids are collected in a word bitmap
+// (one bit per id) that is read back in ascending order, so duplicate
+// disjunct hits collapse and the result needs no final sort.
 //
 // Filters with non-indexable pieces (ranges over mixed types, non-finite
 // operands, etc.) fall back to direct evaluation, so the index is exactly
@@ -58,12 +59,15 @@ class SubscriptionIndex {
   /// Caller-owned match state, for concurrent readers over one *finalized*
   /// index (snapshot matching: many reactor workers share an immutable
   /// index, each bringing its own Scratch).  A Scratch adapts to any index
-  /// it is handed — arrays grow on demand and the per-call generation bump
-  /// makes stale state from another index (or a previous call) unreadable —
-  /// so one Scratch can serve every shard of a sharded fabric in turn.
+  /// it is handed — arrays grow on demand, the per-call generation bump
+  /// makes stale counters from another index (or a previous call)
+  /// unreadable, and every `emitted` bit is zero again when a call returns
+  /// — so one Scratch can serve every shard of a sharded fabric in turn.
   struct Scratch {
     std::vector<std::uint64_t> counter_gen;
-    std::vector<std::uint32_t> external_generation;
+    /// One bit per external id, set by a match and cleared as the result
+    /// is read back out of it.
+    std::vector<std::uint64_t> emitted;
     std::vector<std::uint32_t> candidates;
     std::vector<EntryId> result;
     std::uint32_t generation = 0;

@@ -49,6 +49,7 @@ RoutingFabric::RoutingFabric(const Topology& topology,
   const std::size_t n = topology.graph.broker_count();
   tables_.resize(n);
   broker_indexes_.resize(n);
+  row_of_id_.resize(n);
   if (options_.repairable) {
     graph_ = topology.graph;
     publisher_edges_ = topology.publisher_edges;
@@ -134,12 +135,12 @@ RoutingFabric::RoutingFabric(const Topology& topology,
             topology.graph.edge_id(broker, entry.next_hop);
         entry.path = tree.stats[broker];
       }
+      const auto row = static_cast<std::uint32_t>(tables_[broker].size());
       if (options_.repairable) {
-        rows_by_sub_[si].push_back(RowRef{
-            broker, static_cast<std::uint32_t>(tables_[broker].size())});
+        rows_by_sub_[si].push_back(RowRef{broker, row});
       }
       tables_[broker].add(entry);
-      install_match_row(broker, sub);
+      install_match_row(broker, row);
 
       const auto alt_it = alt_hops.find(broker);
       if (alt_it != alt_hops.end()) {
@@ -152,7 +153,7 @@ RoutingFabric::RoutingFabric(const Topology& topology,
           alt_entry.next_hop_edge = topology.graph.edge_id(broker, alt);
           alt_entry.path = alt_stats;
           tables_[broker].add(alt_entry);
-          install_match_row(broker, sub);
+          install_match_row(broker, row + 1);
         }
       }
     }
@@ -166,13 +167,26 @@ RoutingFabric::RoutingFabric(const Topology& topology,
   }
 }
 
-void RoutingFabric::install_match_row(BrokerId broker,
-                                      const Subscription& sub) {
+void RoutingFabric::install_match_row(BrokerId broker, std::uint32_t row) {
+  const Subscription& sub = *tables_[broker].entries()[row].subscription;
   SubscriptionIndex& index = broker_indexes_[broker];
   const auto id = index.add(sub.filter);
   for (const Filter& f : sub.or_filters) index.add_disjunct(id, f);
-  assert(id + 1 == tables_[broker].size() &&
-         "index ids must mirror table row indices");
+  std::vector<std::uint32_t>& rows = row_of_id_[broker];
+  assert(id == rows.size() && (rows.empty() || rows.back() < row) &&
+         "index ids must map to ascending table rows");
+  rows.push_back(row);
+}
+
+void RoutingFabric::compact_match_rows(BrokerId broker) {
+  broker_indexes_[broker] = SubscriptionIndex();
+  row_of_id_[broker].clear();
+  const auto& entries = tables_[broker].entries();
+  for (std::size_t row = 0; row < entries.size(); ++row) {
+    if (!entries[row].disabled) {
+      install_match_row(broker, static_cast<std::uint32_t>(row));
+    }
+  }
 }
 
 std::vector<const SubscriptionEntry*> RoutingFabric::match_at(
@@ -186,9 +200,10 @@ void RoutingFabric::match_at(
     BrokerId broker, const Message& message,
     std::vector<const SubscriptionEntry*>& out) const {
   out.clear();
-  const SubscriptionTable& table = tables_[broker];
+  const auto& entries = tables_[broker].entries();
+  const std::vector<std::uint32_t>& row_of_id = row_of_id_[broker];
   for (const auto id : broker_indexes_[broker].match(message)) {
-    out.push_back(&table.entries()[id]);
+    out.push_back(&entries[row_of_id[id]]);
   }
 }
 
@@ -213,6 +228,11 @@ std::size_t RoutingFabric::apply_link_state(
 
   std::size_t rewritten = 0;
   std::vector<std::uint8_t> changed_flags(tables_.size(), 0);
+  std::vector<std::uint8_t> retired(tables_.size(), 0);
+  std::vector<std::size_t> rows_before(tables_.size());
+  for (std::size_t b = 0; b < tables_.size(); ++b) {
+    rows_before[b] = tables_[b].size();
+  }
   for (auto& [home, tree] : trees_) {
     const std::vector<BrokerId> changed = repair_tree_toward(
         graph_, incoming_, link_down_, edges_down, edges_up, tree);
@@ -220,7 +240,21 @@ std::size_t RoutingFabric::apply_link_state(
     std::fill(changed_flags.begin(), changed_flags.end(), 0);
     for (const BrokerId b : changed) changed_flags[b] = 1;
     for (const std::size_t si : subs_by_home_.at(home)) {
-      rewritten += reinstall(si, tree, changed_flags);
+      rewritten += reinstall(si, tree, changed_flags, retired);
+    }
+  }
+
+  // Bring each broker's index up to its table once per batch: a broker
+  // that retired a row is rebuilt from its enabled rows (so retired rows
+  // leave the match path), one that only gained rows indexes the new tail.
+  for (std::size_t b = 0; b < tables_.size(); ++b) {
+    const auto broker = static_cast<BrokerId>(b);
+    if (retired[b] != 0) {
+      compact_match_rows(broker);
+      continue;
+    }
+    for (std::size_t row = rows_before[b]; row < tables_[b].size(); ++row) {
+      install_match_row(broker, static_cast<std::uint32_t>(row));
     }
   }
   return rewritten;
@@ -228,7 +262,8 @@ std::size_t RoutingFabric::apply_link_state(
 
 std::size_t RoutingFabric::reinstall(
     std::size_t sub_index, const ShortestPathTree& tree,
-    const std::vector<std::uint8_t>& changed) {
+    const std::vector<std::uint8_t>& changed,
+    std::vector<std::uint8_t>& retired) {
   const Subscription& sub = subscriptions_[sub_index];
   // Desired install set from the repaired tree — the constructor's
   // publisher-path union (single-path; repairable excludes multipath).
@@ -260,6 +295,7 @@ std::size_t RoutingFabric::reinstall(
 
   for (const RowRef& r : rows) {
     tables_[r.broker].entry_at(r.row).disabled = true;
+    retired[r.broker] = 1;
   }
   rows.clear();
   for (const auto& [broker, mask] : installed) {
@@ -277,7 +313,6 @@ std::size_t RoutingFabric::reinstall(
     rows.push_back(RowRef{
         broker, static_cast<std::uint32_t>(tables_[broker].size())});
     tables_[broker].add(entry);
-    install_match_row(broker, sub);
   }
   return installed.size();
 }

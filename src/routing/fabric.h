@@ -7,9 +7,11 @@
 // path tree toward H, so they are publisher-independent (see
 // routing/spt.h on suffix consistency).
 //
-// The fabric also owns one counting index per broker (message/index.h),
-// whose row ids mirror that broker's table rows, and a global index used
-// by the metrics to compute ts_i of eq. (1).
+// The fabric also owns one counting index per broker (message/index.h)
+// over that broker's enabled table rows, and a global index used by the
+// metrics to compute ts_i of eq. (1).  Index ids are not table rows: each
+// broker keeps an ascending id -> row map, so an index compacted after
+// routing repair still answers in ascending row order.
 #pragma once
 
 #include <map>
@@ -67,8 +69,9 @@ class RoutingFabric {
     return tables_[broker];
   }
 
-  /// Table rows of `broker` whose filters match `message`, in ascending
-  /// row order (the canonical match order).
+  /// Enabled table rows of `broker` whose filters match `message`, in
+  /// ascending row order (the canonical match order).  Rows retired by
+  /// apply_link_state are never returned.
   std::vector<const SubscriptionEntry*> match_at(BrokerId broker,
                                                  const Message& message) const;
 
@@ -100,35 +103,47 @@ class RoutingFabric {
   /// subtree is recomputed in place (routing/spt.h: repair_tree_toward) and
   /// the subscriptions whose install set, masks or carrying brokers moved
   /// get their table rows rewritten: stale rows are disabled in place —
-  /// copies already queued keep following them — and replacements appended,
-  /// each paired with a fresh matching-index filter so row-id alignment
-  /// holds.  Single-threaded callers only (the engines invoke it between
-  /// events / at window barriers); returns the number of rows rewritten.
+  /// copies already queued keep pointing at them — and replacements
+  /// appended.  At the end of the batch every broker that retired a row has
+  /// its matching index rebuilt from its enabled rows in ascending row
+  /// order (compaction: retired rows leave the match path), and a broker
+  /// that only gained rows indexes just those; each rewritten row is
+  /// indexed once.  Single-threaded callers only (the engines invoke it
+  /// between events / at window barriers); returns the number of rows
+  /// rewritten.
   std::size_t apply_link_state(const std::vector<EdgeId>& edges_down,
                                const std::vector<EdgeId>& edges_up);
 
  private:
-  /// One re-pointed subscription: disable its current rows, install the
-  /// desired set from the repaired tree.  No-op (returning 0) when nothing
-  /// it depends on changed.
+  /// One re-pointed subscription: disable its current rows (flagging
+  /// their brokers in `retired`) and append the desired set from the
+  /// repaired tree to the tables; apply_link_state indexes them.  No-op
+  /// (returning 0) when nothing it depends on changed.
   std::size_t reinstall(std::size_t sub_index, const ShortestPathTree& tree,
-                        const std::vector<std::uint8_t>& changed);
+                        const std::vector<std::uint8_t>& changed,
+                        std::vector<std::uint8_t>& retired);
 
-  /// Registers `sub`'s filters as the next matching row of `broker`; the
-  /// index id always equals the broker table's row index (row-id
-  /// alignment).
-  void install_match_row(BrokerId broker, const Subscription& sub);
+  /// Registers the filters of table row `row` of `broker` as the next id of
+  /// that broker's matching index; rows must be registered in ascending
+  /// order, which keeps the id -> row map ascending.
+  void install_match_row(BrokerId broker, std::uint32_t row);
+
+  /// Rebuilds `broker`'s matching index and id -> row map from its enabled
+  /// rows only.
+  void compact_match_rows(BrokerId broker);
 
   FabricOptions options_;
   std::vector<Subscription> subscriptions_;
   std::vector<SubscriptionTable> tables_;
   std::vector<SubscriptionIndex> broker_indexes_;
+  /// Per broker: index id -> table row, ascending.
+  std::vector<std::vector<std::uint32_t>> row_of_id_;
   SubscriptionIndex global_index_;
   std::map<BrokerId, ShortestPathTree> trees_;
 
   // ---- Repairable-fabric state (unused unless options_.repairable) ----
   /// Position of one live table row of a subscription: tables_[broker]'s
-  /// row index (== the broker matching index's filter id).
+  /// row index.
   struct RowRef {
     BrokerId broker;
     std::uint32_t row;

@@ -80,11 +80,10 @@ struct SubscriptionEntry {
   /// routing protocol never selected, duplicating deliveries.
   std::uint64_t publisher_mask = ~0ULL;
   /// Routing repair (RoutingFabric::apply_link_state) retires stale rows in
-  /// place instead of erasing them: erasure would renumber rows and break
-  /// the row-id alignment with the broker's matching index, and copies
-  /// already queued keep pointing at their original entry.  Disabled rows
-  /// are skipped by the fan-out grouper, so they stop attracting new
-  /// copies the instant the repair lands.
+  /// place instead of erasing them: copies already queued keep pointing at
+  /// their original entry.  The repair batch compacts retired rows out of
+  /// the broker's matching index, so match_at never returns a disabled row
+  /// and it stops attracting new copies the instant the repair lands.
   bool disabled = false;
 
   bool is_local() const { return next_hop == kNoBroker; }

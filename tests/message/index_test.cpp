@@ -127,6 +127,99 @@ TEST(SubscriptionIndex, IncrementalAddsKeepMatching) {
   }
 }
 
+/// Index whose matching ids sit on both sides of the 64-bit word boundaries
+/// of the emitted bitmap: ids in `hits` alternate between a wildcard, a
+/// direct-only filter, two-or-three OR disjuncts that fire together, and a
+/// counted range; every other id never matches the probes below.
+struct BoundaryIndex {
+  SubscriptionIndex index;
+  std::vector<std::vector<Filter>> disjuncts;  // Per id, for brute force.
+};
+
+BoundaryIndex boundary_index(std::size_t size,
+                             const std::vector<std::size_t>& hits) {
+  BoundaryIndex built;
+  for (std::size_t id = 0; id < size; ++id) {
+    std::vector<Filter> filters(1);
+    const bool hit = std::find(hits.begin(), hits.end(), id) != hits.end();
+    if (!hit) {
+      filters[0].where("A1", Op::kGt, Value(100.0));
+    } else if (id % 4 == 0) {
+      // Wildcard: matches every message.
+    } else if (id % 4 == 1) {
+      filters[0].where("A1", Op::kNe, Value(-1.0));  // Direct-only.
+    } else if (id % 4 == 2) {
+      filters[0].where("A1", Op::kLt, Value(10.0));
+      filters.emplace_back().where("A2", Op::kGe, Value(0.0));
+      filters.emplace_back().where("A1", Op::kNe, Value(-2.0));
+    } else {
+      filters[0].where("A1", Op::kGe, Value(0.0)).where("A1", Op::kLe,
+                                                        Value(60.0));
+    }
+    const auto got = built.index.add(filters[0]);
+    EXPECT_EQ(got, id);
+    for (std::size_t d = 1; d < filters.size(); ++d) {
+      built.index.add_disjunct(id, filters[d]);
+    }
+    built.disjuncts.push_back(std::move(filters));
+  }
+  built.index.finalize();
+  return built;
+}
+
+std::vector<SubscriptionIndex::EntryId> brute_force(const BoundaryIndex& b,
+                                                    const Message& m) {
+  std::vector<SubscriptionIndex::EntryId> out;
+  for (std::size_t id = 0; id < b.disjuncts.size(); ++id) {
+    if (std::any_of(b.disjuncts[id].begin(), b.disjuncts[id].end(),
+                    [&](const Filter& f) { return f.matches(m); })) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
+
+TEST(SubscriptionIndex, BitmapEmitIsAscendingAcrossWordBoundaries) {
+  const std::vector<std::size_t> hits = {0,   1,   2,   3,   62,  63,
+                                         64,  65,  66,  67,  126, 127,
+                                         128, 129, 130, 190, 191, 192};
+  const BoundaryIndex small = boundary_index(66, hits);
+  const BoundaryIndex large = boundary_index(193, hits);
+  const std::vector<Message> probes = {
+      make_message({{"A1", Value(5.0)}, {"A2", Value(1.0)}}),
+      make_message({{"A1", Value(50.0)}}),
+      make_message({{"A2", Value(-3.0)}}),
+      make_message({})};
+
+  // One Scratch serves both indexes in both orders: all of its bits must
+  // be clear between calls, whichever index ran last.
+  SubscriptionIndex::Scratch scratch;
+  std::size_t matched = 0;
+  for (const BoundaryIndex* b : {&small, &large, &small, &large, &small}) {
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      const std::vector<SubscriptionIndex::EntryId> got =
+          b->index.match(probes[p], scratch);
+      EXPECT_TRUE(std::adjacent_find(got.begin(), got.end(),
+                                     std::greater_equal<>()) == got.end())
+          << "not ascending and unique, probe " << p;
+      EXPECT_EQ(got, brute_force(*b, probes[p]))
+          << b->disjuncts.size() << " ids, probe " << p;
+      // The classic overload (internal scratch) agrees.
+      EXPECT_EQ(b->index.match(probes[p]), got);
+      EXPECT_TRUE(std::all_of(scratch.emitted.begin(), scratch.emitted.end(),
+                              [](std::uint64_t w) { return w == 0; }));
+      matched += got.size();
+    }
+  }
+  EXPECT_GT(matched, 0u);
+  EXPECT_GE(scratch.emitted.size() * 64, large.index.size());
+  // The wide probe hits every listed id, straddling each word boundary.
+  const std::vector<SubscriptionIndex::EntryId> wide =
+      large.index.match(probes[0], scratch);
+  EXPECT_EQ(wide, std::vector<SubscriptionIndex::EntryId>(hits.begin(),
+                                                          hits.end()));
+}
+
 /// Property test: the index is exactly equivalent to brute force on random
 /// workloads mixing every operator.
 class IndexEquivalence : public ::testing::TestWithParam<std::uint64_t> {};

@@ -1,14 +1,18 @@
 // Per-broker matching differential: on every broker, RoutingFabric::match_at
-// must return exactly the table rows whose subscription filter (or any of
-// its OR disjuncts) matches the message, in ascending row order.  The
-// simulators' floating-point reductions walk match_at output in order, so
-// the order is part of the contract the golden matrix leans on.
+// must return exactly the enabled table rows whose subscription filter (or
+// any of its OR disjuncts) matches the message, in ascending row order.
+// The simulators' floating-point reductions walk match_at output in order,
+// so the order is part of the contract the golden matrix leans on.
 //
-// Brute force evaluates every row's Filter directly; the fabric answers
-// through each broker's counting index (message/index.h).  The repairable
-// case probes before and after apply_link_state: repair appends rows to
-// indexes that have already served (and sorted for) matches, so the second
-// probe checks the lazy re-sort against rows added after first use.
+// Brute force evaluates every enabled row's Filter directly; the fabric
+// answers through each broker's counting index (message/index.h), whose
+// ids map to table rows.  The repairable case probes before and after
+// several fail/recover cycles of apply_link_state: a broker that retires
+// rows has its index rebuilt from its enabled rows (compaction), and one
+// that only gains rows appends them to an index that has already served
+// (and sorted for) matches.  The cycles compact brokers more than once and
+// append rows behind an earlier compaction, so the id -> row map is probed
+// with gaps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -83,6 +87,7 @@ std::vector<const SubscriptionEntry*> brute_force(
     const SubscriptionTable& table, const Message& message) {
   std::vector<const SubscriptionEntry*> rows;
   for (const SubscriptionEntry& entry : table.entries()) {
+    if (entry.disabled) continue;
     const Subscription& sub = *entry.subscription;
     if (sub.filter.matches(message) ||
         std::any_of(sub.or_filters.begin(), sub.or_filters.end(),
@@ -110,6 +115,10 @@ ProbeCounts expect_brute_force(const RoutingFabric& fabric,
       fabric.match_at(b, probes[p], out);
       const auto expect = brute_force(fabric.table(b), probes[p]);
       EXPECT_EQ(out, expect) << phase << ": broker " << b << " probe " << p;
+      EXPECT_TRUE(std::none_of(
+          out.begin(), out.end(),
+          [](const SubscriptionEntry* entry) { return entry->disabled; }))
+          << phase << ": broker " << b << " returned a retired row";
       counts.matched_rows += expect.size();
       for (const SubscriptionEntry* entry : expect) {
         if (!entry->subscription->filter.matches(probes[p])) {
@@ -137,6 +146,26 @@ TEST(RoutingMatchDifferential, SingleAndMultiPathTablesMatchBruteForce) {
   }
 }
 
+/// Per-broker (disabled, total) row counts: how a batch of apply_link_state
+/// treated each broker's index is visible from its table alone.
+struct TableShape {
+  std::size_t disabled = 0;
+  std::size_t rows = 0;
+};
+
+std::vector<TableShape> table_shapes(const RoutingFabric& fabric) {
+  std::vector<TableShape> shapes(fabric.broker_count());
+  for (BrokerId b = 0; b < static_cast<BrokerId>(fabric.broker_count());
+       ++b) {
+    const SubscriptionTable& table = fabric.table(b);
+    shapes[b].rows = table.size();
+    for (const SubscriptionEntry& entry : table.entries()) {
+      if (entry.disabled) ++shapes[b].disabled;
+    }
+  }
+  return shapes;
+}
+
 TEST(RoutingMatchDifferential, RepairedTablesMatchBruteForce) {
   Rng rng(23);
   std::vector<Subscription> subs;
@@ -151,27 +180,43 @@ TEST(RoutingMatchDifferential, RepairedTablesMatchBruteForce) {
   EXPECT_GT(before.matched_rows, 0u);
   EXPECT_GT(before.or_only_rows, 0u);
 
-  // Fail the first link on publisher 0's path toward the first subscriber
-  // home away from it (both directions), so the rows of every
-  // subscription homed there must move.
-  std::vector<BrokerId> path;
-  for (std::size_t s = 0; s < fabric.subscription_count() && path.size() < 2;
+  // Each cycle fails the first link (both directions) on publisher
+  // (cycle % 2)'s path toward the home of the next subscription homed away
+  // from it, so the rows of every subscription homed there must move, and
+  // then recovers it.
+  std::vector<std::size_t> compactions(fabric.broker_count(), 0);
+  std::size_t appends_after_compaction = 0;
+  std::size_t cycles = 0;
+  auto apply = [&](const std::vector<EdgeId>& down,
+                   const std::vector<EdgeId>& up, const char* phase) {
+    const std::vector<TableShape> was = table_shapes(fabric);
+    // apply_link_state returns the number of rows it appended.
+    EXPECT_GT(fabric.apply_link_state(down, up), 0u) << phase;
+    const std::vector<TableShape> now = table_shapes(fabric);
+    for (std::size_t b = 0; b < now.size(); ++b) {
+      if (now[b].disabled > was[b].disabled) {
+        ++compactions[b];
+      } else if (now[b].rows > was[b].rows && was[b].disabled > 0) {
+        ++appends_after_compaction;
+      }
+    }
+    expect_brute_force(fabric, probes, phase);
+  };
+  for (std::size_t s = 0; s < fabric.subscription_count() && cycles < 4;
        ++s) {
-    path = fabric.tree_toward(fabric.subscription(s).home)
-               .path_from(topo.publisher_edges[0]);
+    const BrokerId publisher = topo.publisher_edges[cycles % 2];
+    const std::vector<BrokerId> path =
+        fabric.tree_toward(fabric.subscription(s).home).path_from(publisher);
+    if (path.size() < 2) continue;
+    const std::vector<EdgeId> link = {topo.graph.edge_id(path[0], path[1]),
+                                      topo.graph.edge_id(path[1], path[0])};
+    apply(link, {}, "after failure");
+    apply({}, link, "after recovery");
+    ++cycles;
   }
-  ASSERT_GE(path.size(), 2u);
-  const std::vector<EdgeId> link = {topo.graph.edge_id(path[0], path[1]),
-                                    topo.graph.edge_id(path[1], path[0])};
-  // apply_link_state returns the number of rows it appended.
-  ASSERT_GT(fabric.apply_link_state(link, {}), 0u);
-
-  // Second probe: indexes holding appended rows re-sort on first use.
-  expect_brute_force(fabric, probes, "after failure");
-
-  // Recovery appends again; the third probe covers a second re-sort.
-  ASSERT_GT(fabric.apply_link_state({}, link), 0u);
-  expect_brute_force(fabric, probes, "after recovery");
+  ASSERT_EQ(cycles, 4u);
+  EXPECT_GE(*std::max_element(compactions.begin(), compactions.end()), 2u);
+  EXPECT_GT(appends_after_compaction, 0u);
 }
 
 }  // namespace

@@ -263,15 +263,16 @@ std::vector<Subscription> one_wildcard_sub_at(BrokerId home) {
   return {sub};
 }
 
-/// match_at deliberately returns retired rows too (queued copies keep
-/// following them); the fan-out grouper is the layer that skips
-/// `disabled`.  Tests assert on the enabled view.
+/// match_at returns enabled rows only: apply_link_state compacts retired
+/// rows (which queued copies keep pointing at) out of the broker's index.
 std::vector<const SubscriptionEntry*> enabled_rows(const RoutingFabric& fabric,
                                                    BrokerId broker,
                                                    const Message& message) {
   std::vector<const SubscriptionEntry*> rows = fabric.match_at(broker, message);
-  std::erase_if(rows,
-                [](const SubscriptionEntry* entry) { return entry->disabled; });
+  for (const SubscriptionEntry* entry : rows) {
+    EXPECT_FALSE(entry->disabled) << "broker " << broker
+                                  << " matched a retired row";
+  }
   return rows;
 }
 

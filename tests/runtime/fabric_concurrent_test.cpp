@@ -4,8 +4,10 @@
 // brokers.  Every broker's counting index sorts lazily on its first match
 // after a change, so that first match mutates index state on the calling
 // thread.  This suite races one thread per broker on a fresh fabric and
-// again right after apply_link_state appended rows, checking each answer
-// against brute-force filter evaluation (which never touches the indexes).
+// again right after each apply_link_state batch (which compacts or appends
+// to the indexes of the brokers it rewrote), checking each answer against
+// brute-force filter evaluation of the enabled rows (which never touches
+// the indexes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +25,9 @@ std::vector<const SubscriptionEntry*> brute_force(
     const SubscriptionTable& table, const Message& message) {
   std::vector<const SubscriptionEntry*> rows;
   for (const SubscriptionEntry& entry : table.entries()) {
-    if (entry.subscription->filter.matches(message)) rows.push_back(&entry);
+    if (!entry.disabled && entry.subscription->filter.matches(message)) {
+      rows.push_back(&entry);
+    }
   }
   return rows;
 }
@@ -101,16 +105,21 @@ TEST(RoutingFabricConcurrent, MatchAtFromDistinctBrokersIsRaceFree) {
 
   race_distinct_brokers(fabric, probes);
 
-  // Fail three spokes: the rerouted subscriptions append rows at the hub
-  // and along the detours, and each of those brokers re-sorts its index
-  // on its own thread in the next race.
-  std::vector<EdgeId> down;
+  // Fail three spokes, then recover them, three times: the rerouted
+  // subscriptions retire and append rows at the hub and along the detours,
+  // and each of those brokers re-sorts its rebuilt index on its own thread
+  // in the next race.
+  std::vector<EdgeId> spokes;
   for (const BrokerId leaf : {1, 6, 11}) {
-    down.push_back(topo.graph.edge_id(0, leaf));
-    down.push_back(topo.graph.edge_id(leaf, 0));
+    spokes.push_back(topo.graph.edge_id(0, leaf));
+    spokes.push_back(topo.graph.edge_id(leaf, 0));
   }
-  ASSERT_GT(fabric.apply_link_state(down, {}), 0u);
-  race_distinct_brokers(fabric, probes);
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    ASSERT_GT(fabric.apply_link_state(spokes, {}), 0u);
+    race_distinct_brokers(fabric, probes);
+    ASSERT_GT(fabric.apply_link_state({}, spokes), 0u);
+    race_distinct_brokers(fabric, probes);
+  }
 }
 
 }  // namespace
