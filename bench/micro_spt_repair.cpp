@@ -8,8 +8,14 @@
 // seeded Dijkstra.  Mesh sizes mirror the dense-graph regime of the other
 // micro benches; the gap is the reason RoutingFabric::apply_link_state can
 // afford to run inside every fault batch of a storm.
+//
+// BM_BuildAllTrees is the RoutingFabric constructor's routing work: every
+// subscriber home's in-tree on the benchmark's scale-free shape (4 edges
+// per node, 4 subscribers per broker), from one shared reverse adjacency
+// and one reused workspace.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/random.h"
@@ -23,7 +29,7 @@ using namespace bdps;
 struct Rig {
   Topology topo;
   ShortestPathTree base;
-  std::vector<std::vector<EdgeId>> incoming;
+  IncomingEdges incoming;
   /// Cut stream: links whose loss actually severs part of the tree (their
   /// forward direction lies on it), pre-drawn so iterations measure the
   /// repair, not the search for an interesting link.
@@ -35,11 +41,7 @@ struct Rig {
                              100.0, 20.0);
     const Graph& graph = topo.graph;
     base = compute_tree_toward(graph, 0);
-    incoming.resize(graph.broker_count());
-    for (std::size_t e = 0; e < graph.edge_count(); ++e) {
-      incoming[graph.edge(static_cast<EdgeId>(e)).to].push_back(
-          static_cast<EdgeId>(e));
-    }
+    incoming = incoming_edges(graph);
     while (cuts.size() < 256) {
       const EdgeId forward =
           static_cast<EdgeId>(rng.uniform_index(graph.edge_count()));
@@ -83,9 +85,32 @@ void BM_IncrementalRepairCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
+/// One iteration = every distinct subscriber home's tree, built the way
+/// RoutingFabric builds them.
+void BM_BuildAllTrees(benchmark::State& state) {
+  const auto brokers = static_cast<std::size_t>(state.range(0));
+  Rng rng(1);
+  const Topology topo = build_scale_free(rng, brokers, 4, 8, brokers * 4,
+                                         50.0, 100.0, 20.0);
+  std::vector<BrokerId> homes = topo.subscriber_homes;
+  std::sort(homes.begin(), homes.end());
+  homes.erase(std::unique(homes.begin(), homes.end()), homes.end());
+  for (auto _ : state) {
+    const IncomingEdges incoming = incoming_edges(topo.graph);
+    SptWorkspace workspace;
+    for (const BrokerId home : homes) {
+      benchmark::DoNotOptimize(
+          compute_tree_toward(topo.graph, incoming, home, workspace));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(homes.size()));
+}
+
 #define REPAIR_ARGS ->Arg(64)->Arg(512)->Arg(4096)
 BENCHMARK(BM_FullRebuildAfterCut) REPAIR_ARGS;
 BENCHMARK(BM_IncrementalRepairCycle) REPAIR_ARGS;
+BENCHMARK(BM_BuildAllTrees)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

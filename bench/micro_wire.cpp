@@ -19,7 +19,7 @@ using namespace bdps;
 Message bench_message(std::size_t attributes) {
   std::vector<Attribute> attrs;
   for (std::size_t i = 0; i < attributes; ++i) {
-    attrs.push_back(Attribute{"A" + std::to_string(i + 1),
+    attrs.push_back(Attribute{std::string("A").append(std::to_string(i + 1)),
                               Value(0.1 * static_cast<double>(i + 1))});
   }
   return Message(/*id=*/123456, /*publisher=*/7, /*publish_time=*/98765.4375,

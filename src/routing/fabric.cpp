@@ -4,6 +4,7 @@
 #include <cassert>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace bdps {
 
@@ -47,6 +48,24 @@ RoutingFabric::RoutingFabric(const Topology& topology,
         "not repaired)");
   }
   const std::size_t n = topology.graph.broker_count();
+  // Reject bad input before any tree is built.
+  if (topology.publisher_edges.size() > 64) {
+    throw std::invalid_argument(
+        "RoutingFabric supports at most 64 publishers (publisher_mask)");
+  }
+  const auto outside = [n](BrokerId b) {
+    return b < 0 || static_cast<std::size_t>(b) >= n;
+  };
+  for (const BrokerId publisher_edge : topology.publisher_edges) {
+    if (outside(publisher_edge)) {
+      throw std::invalid_argument("publisher edge broker outside the graph");
+    }
+  }
+  for (const Subscription& sub : subscriptions_) {
+    if (outside(sub.home)) {
+      throw std::invalid_argument("subscription home outside the graph");
+    }
+  }
   tables_.resize(n);
   broker_indexes_.resize(n);
   row_of_id_.resize(n);
@@ -54,32 +73,24 @@ RoutingFabric::RoutingFabric(const Topology& topology,
     graph_ = topology.graph;
     publisher_edges_ = topology.publisher_edges;
     link_down_.assign(graph_.edge_count());
-    incoming_.resize(n);
-    for (std::size_t b = 0; b < n; ++b) {
-      for (const EdgeId e : graph_.out_edges(static_cast<BrokerId>(b))) {
-        incoming_[graph_.edge(e).to].push_back(e);
-      }
-    }
     rows_by_sub_.resize(subscriptions_.size());
     for (std::size_t i = 0; i < subscriptions_.size(); ++i) {
       subs_by_home_[subscriptions_[i].home].push_back(i);
     }
   }
 
-  // One shortest-path tree per distinct subscriber home broker.
+  // One shortest-path tree per distinct subscriber home broker, all from
+  // one reverse adjacency and one workspace.  A repairable fabric keeps the
+  // adjacency for its repairs.
+  IncomingEdges incoming = incoming_edges(topology.graph);
+  SptWorkspace workspace;
   for (const Subscription& sub : subscriptions_) {
-    if (sub.home < 0 || static_cast<std::size_t>(sub.home) >= n) {
-      throw std::invalid_argument("subscription home outside the graph");
-    }
     if (!trees_.count(sub.home)) {
-      trees_.emplace(sub.home, compute_tree_toward(topology.graph, sub.home));
+      trees_.emplace(sub.home, compute_tree_toward(topology.graph, incoming,
+                                                   sub.home, workspace));
     }
   }
-
-  if (topology.publisher_edges.size() > 64) {
-    throw std::invalid_argument(
-        "RoutingFabric supports at most 64 publishers (publisher_mask)");
-  }
+  if (options_.repairable) incoming_ = std::move(incoming);
 
   // Install each subscription on the union of chosen publisher->home paths,
   // remembering per broker *which* publishers route through it (the
@@ -233,9 +244,10 @@ std::size_t RoutingFabric::apply_link_state(
   for (std::size_t b = 0; b < tables_.size(); ++b) {
     rows_before[b] = tables_[b].size();
   }
+  SptWorkspace workspace;
   for (auto& [home, tree] : trees_) {
     const std::vector<BrokerId> changed = repair_tree_toward(
-        graph_, incoming_, link_down_, edges_down, edges_up, tree);
+        graph_, incoming_, link_down_, edges_down, edges_up, tree, workspace);
     if (changed.empty()) continue;
     std::fill(changed_flags.begin(), changed_flags.end(), 0);
     for (const BrokerId b : changed) changed_flags[b] = 1;

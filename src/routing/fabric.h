@@ -43,6 +43,9 @@ class RoutingFabric {
  public:
   /// Builds tables for `topology` with the given subscriptions.  The fabric
   /// keeps its own copy of the subscriptions; entry pointers refer into it.
+  /// Throws std::invalid_argument, before any tree is built, for more than
+  /// 64 publishers, a publisher edge or subscription home outside the
+  /// graph, or repairable together with multipath.
   ///
   /// Thread-safety: between apply_link_state calls the fabric is
   /// logically const, but each broker's index sorts lazily and matches
@@ -151,7 +154,9 @@ class RoutingFabric {
   Graph graph_;
   std::vector<BrokerId> publisher_edges_;
   EdgeFlags link_down_;
-  std::vector<std::vector<EdgeId>> incoming_;
+  /// The reverse adjacency the constructor built the trees from
+  /// (routing/spt.h: incoming_edges); every repair reuses it.
+  IncomingEdges incoming_;
   std::vector<std::vector<RowRef>> rows_by_sub_;
   std::map<BrokerId, std::vector<std::size_t>> subs_by_home_;
 };

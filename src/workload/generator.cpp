@@ -8,12 +8,16 @@
 namespace bdps {
 
 namespace {
-std::string attribute_name(int index) { return "A" + std::to_string(index + 1); }
+// Names are built with append, not as `"A" + std::to_string(n)`: GCC 12
+// flags that operator+ with a spurious -Wrestrict in optimised builds.
+std::string attribute_name(int index) {
+  return std::string("A").append(std::to_string(index + 1));
+}
 
 /// Churn-pool attribute names; a distinct prefix from the §6.1 "A" space
 /// so mixed workloads cannot alias.
 std::string churn_attribute_name(std::size_t index) {
-  return "Z" + std::to_string(index + 1);
+  return std::string("Z").append(std::to_string(index + 1));
 }
 }  // namespace
 
@@ -198,7 +202,8 @@ Filter ChurnWorkload::next_filter() {
       filter.where(name, filter_rng_.uniform() < 0.5 ? Op::kLe : Op::kGe,
                    Value(threshold(rank)));
     } else if (cls < config_.wide_fraction + config_.string_fraction) {
-      filter.where(name, Op::kEq, Value("s" + std::to_string(rank)));
+      filter.where(name, Op::kEq,
+                   Value(std::string("s").append(std::to_string(rank))));
     } else if (cls < config_.wide_fraction + config_.string_fraction +
                          config_.eq_fraction) {
       filter.where(name, Op::kEq, Value(threshold(rank)));
@@ -238,7 +243,8 @@ Message ChurnWorkload::next_message() {
       const std::size_t rank = threshold_zipf_.sample(message_rng_);
       const double span = config_.value_hi - config_.value_lo;
       if (message_rng_.uniform() < 0.25) {
-        head.push_back(Attribute{name, Value("s" + std::to_string(rank))});
+        head.push_back(Attribute{
+            name, Value(std::string("s").append(std::to_string(rank)))});
       } else {
         head.push_back(Attribute{
             name, Value(config_.value_lo +

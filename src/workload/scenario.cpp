@@ -23,4 +23,8 @@ ScenarioKind parse_scenario(const std::string& name) {
   throw std::invalid_argument("unknown scenario: " + name);
 }
 
+std::vector<DelayTier> paper_ssd_tiers() {
+  return {{seconds(10.0), 3.0}, {seconds(30.0), 2.0}, {seconds(60.0), 1.0}};
+}
+
 }  // namespace bdps

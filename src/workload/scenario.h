@@ -32,6 +32,11 @@ struct DelayTier {
   double price = 1.0;
 };
 
+/// The paper's SSD tiers: {(10s, 3), (30s, 2), (60s, 1)}.  Out of line so
+/// that no optimised default construction of WorkloadConfig inlines the
+/// initializer list (GCC 12 reports it -Wmaybe-uninitialized there).
+std::vector<DelayTier> paper_ssd_tiers();
+
 struct WorkloadConfig {
   ScenarioKind scenario = ScenarioKind::kPsd;
 
@@ -60,8 +65,7 @@ struct WorkloadConfig {
   TimeMs psd_delay_hi = seconds(30.0);
 
   /// SSD tiers (uniformly chosen per subscription).
-  std::vector<DelayTier> ssd_tiers = {
-      {seconds(10.0), 3.0}, {seconds(30.0), 2.0}, {seconds(60.0), 1.0}};
+  std::vector<DelayTier> ssd_tiers = paper_ssd_tiers();
 
   /// Subscription churn: each subscription is active for a contiguous
   /// window covering (1 - churn_fraction) of the run, with a random start

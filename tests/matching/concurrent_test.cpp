@@ -211,7 +211,7 @@ TEST(MatchFabricConcurrent, SharedProgramsRaceCompileAndRetireAcrossShards) {
   // pre-promotion shard (1), so the two equal groups land apart.
   std::string attr = "R0";
   for (int i = 1; 1 + std::hash<std::string>{}(attr) % 8 == 1; ++i) {
-    attr = "R" + std::to_string(i);
+    attr = std::string("R").append(std::to_string(i));
   }
 
   // The whole add schedule is fixed up front (immutable filter table for
@@ -234,7 +234,7 @@ TEST(MatchFabricConcurrent, SharedProgramsRaceCompileAndRetireAcrossShards) {
   push_group();
   for (int i = 0; i < 3; ++i) {
     Filter f;
-    f.where("F" + std::to_string(i), Op::kGe, Value(0.0));
+    f.where(std::string("F").append(std::to_string(i)), Op::kGe, Value(0.0));
     filters.push_back(std::move(f));
   }
   push_group();
@@ -245,7 +245,7 @@ TEST(MatchFabricConcurrent, SharedProgramsRaceCompileAndRetireAcrossShards) {
     if (i % 2 == 0) {
       f.where(attr, Op::kGe, Value(200.0 + static_cast<double>(i % 16)));
     } else {
-      f.where("W" + std::to_string(i % 7), Op::kLt,
+      f.where(std::string("W").append(std::to_string(i % 7)), Op::kLt,
               Value(static_cast<double>(i % 9)));
     }
     filters.push_back(std::move(f));
@@ -266,7 +266,8 @@ TEST(MatchFabricConcurrent, SharedProgramsRaceCompileAndRetireAcrossShards) {
   for (int w = 0; w < 7; ++w) {
     probes.emplace_back(2 + w, 0, 0.0, 1.0,
                         std::vector<Attribute>{
-                            {"W" + std::to_string(w), Value(4.5)},
+                            {std::string("W").append(std::to_string(w)),
+                             Value(4.5)},
                             {attr, Value(0.5)}});
   }
 

@@ -52,11 +52,13 @@ TEST(MatchFabric, ResultsAscendEvenAcrossShards) {
   std::vector<RowId> expect;
   for (int i = 0; i < 64; ++i) {
     expect.push_back(
-        fabric.add(where("Z" + std::to_string(i % 7), Op::kGe, Value(0.0))));
+        fabric.add(where(std::string("Z").append(std::to_string(i % 7)),
+                         Op::kGe, Value(0.0))));
   }
   std::vector<Attribute> head;
   for (int a = 0; a < 7; ++a) {
-    head.push_back(Attribute{"Z" + std::to_string(a), Value(1.0)});
+    head.push_back(
+        Attribute{std::string("Z").append(std::to_string(a)), Value(1.0)});
   }
   const auto& got = fabric.match(make_message(head), scratch);
   EXPECT_EQ(got, expect);  // 0..63 ascending.
@@ -213,7 +215,8 @@ TEST(MatchFabric, PromotesFromOneShardExactlyAboveTheRowThreshold) {
   std::vector<RowId> rows;
   for (std::size_t i = 0; i < kThreshold; ++i) {
     rows.push_back(
-        fabric.add(where("Z" + std::to_string(i % 5), Op::kGe, Value(0.0))));
+        fabric.add(where(std::string("Z").append(std::to_string(i % 5)),
+                         Op::kGe, Value(0.0))));
   }
   EXPECT_EQ(fabric.stats().active_shards, 1u);  // At the boundary: single.
 
@@ -225,11 +228,13 @@ TEST(MatchFabric, PromotesFromOneShardExactlyAboveTheRowThreshold) {
   // way.
   for (std::size_t i = 0; i < 40; ++i) {
     rows.push_back(
-        fabric.add(where("Z" + std::to_string(i % 5), Op::kGe, Value(0.0))));
+        fabric.add(where(std::string("Z").append(std::to_string(i % 5)),
+                         Op::kGe, Value(0.0))));
   }
   std::vector<Attribute> head;
   for (int a = 0; a < 5; ++a) {
-    head.push_back(Attribute{"Z" + std::to_string(a), Value(1.0)});
+    head.push_back(
+        Attribute{std::string("Z").append(std::to_string(a)), Value(1.0)});
   }
   EXPECT_EQ(match(fabric, scratch, make_message(head)), rows);
 
@@ -332,7 +337,7 @@ TEST(MatchFabric, EqualRootsInDifferentShardsShareOneProgram) {
   // (index 1), so the two copies really land in different shards.
   std::string attr;
   for (int i = 0; i < 64 && attr.empty(); ++i) {
-    const std::string candidate = "G" + std::to_string(i);
+    const std::string candidate = std::string("G").append(std::to_string(i));
     if (1 + std::hash<std::string>{}(candidate) % 8 != 1) attr = candidate;
   }
   ASSERT_FALSE(attr.empty());

@@ -19,6 +19,7 @@
 #include "routing/fabric.h"
 #include "topology/builders.h"
 #include "topology/edge_map.h"
+#include "tree_identity.h"
 
 namespace bdps {
 namespace {
@@ -239,6 +240,148 @@ TEST_P(SptRepairChurn, MatchesFreshComputeAcrossBatches) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SptRepairChurn,
                          ::testing::Values(1u, 7u, 23u, 61u, 97u));
+
+/// Fail/recover batches over several trees, repaired once through one
+/// workspace shared by every tree and batch (as apply_link_state does) and
+/// once with a fresh workspace per call: every tree and every returned
+/// changed list must agree bit for bit.
+class SptRepairWorkspaceReuse
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SptRepairWorkspaceReuse, SharedWorkspaceMatchesFreshWorkspaces) {
+  Rng rng(GetParam());
+  const Topology topo =
+      build_scale_free(rng, 64, 4, 8, 64 * 4, 50.0, 100.0, 20.0);
+  const Graph& g = topo.graph;
+  const IncomingEdges incoming = incoming_edges(g);
+
+  std::vector<std::pair<BrokerId, BrokerId>> links;
+  for (std::size_t e = 0; e < g.edge_count(); ++e) {
+    const Edge& edge = g.edge(static_cast<EdgeId>(e));
+    if (edge.from < edge.to) links.emplace_back(edge.from, edge.to);
+  }
+  ASSERT_FALSE(links.empty());
+
+  const std::vector<BrokerId> destinations = {0, 9, 31, 63};
+  std::vector<ShortestPathTree> shared_trees;
+  for (const BrokerId d : destinations) {
+    shared_trees.push_back(compute_tree_toward(g, d));
+  }
+  std::vector<ShortestPathTree> fresh_trees = shared_trees;
+
+  SptWorkspace shared;
+  EdgeFlags down(g.edge_count());
+  std::vector<std::pair<BrokerId, BrokerId>> failed;
+  std::size_t nonempty = 0;
+  for (int round = 0; round < 24; ++round) {
+    std::vector<EdgeId> newly_down;
+    std::vector<EdgeId> newly_up;
+    if (round % 3 == 2) {
+      // Recover every failed link at once.
+      for (const auto& [a, b] : failed) {
+        toggle_link(g, a, b, false, down, newly_up);
+      }
+      failed.clear();
+    } else {
+      for (int t = 0; t < 3; ++t) {
+        const auto& link = links[rng.uniform_index(links.size())];
+        if (down.test(g.edge_id(link.first, link.second))) continue;
+        toggle_link(g, link.first, link.second, true, down, newly_down);
+        failed.push_back(link);
+      }
+    }
+    for (std::size_t i = 0; i < destinations.size(); ++i) {
+      const std::string label = "round " + std::to_string(round) +
+                                " dest " + std::to_string(destinations[i]);
+      const auto with_shared = repair_tree_toward(
+          g, incoming, down, newly_down, newly_up, shared_trees[i], shared);
+      const auto with_fresh = repair_tree_toward(
+          g, incoming, down, newly_down, newly_up, fresh_trees[i]);
+      ASSERT_EQ(with_shared, with_fresh) << label;
+      ASSERT_TRUE(bdps_test::identical_trees(shared_trees[i], fresh_trees[i]))
+          << label;
+      if (!with_shared.empty()) ++nonempty;
+    }
+  }
+  // The batches must actually exercise repair, not only the early exit.
+  EXPECT_GT(nonempty, 8u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SptRepairWorkspaceReuse,
+                         ::testing::Values(1u, 2u, 3u));
+
+/// A batch that cuts no tree edge and restores no edge that strictly
+/// improves its tail changes nothing, so repair returns {} before any O(n)
+/// work: the tree is bit for bit unchanged and the workspace untouched.
+TEST(SptRepair, BatchOffTheTreeReturnsEarly) {
+  const Graph g = line_with_shortcut();  // Tree toward 2: 0 -> 1 -> 2.
+  const auto incoming = reverse_adjacency(g);
+  EdgeFlags down(g.edge_count());
+  ShortestPathTree tree = compute_tree_toward(g, 2);
+  const ShortestPathTree before = tree;
+
+  // The 0-2 shortcut carries no tree edge in either direction.
+  std::vector<EdgeId> batch;
+  toggle_link(g, 0, 2, true, down, batch);
+  SptWorkspace workspace;
+  EXPECT_TRUE(
+      repair_tree_toward(g, incoming, down, batch, {}, tree, workspace)
+          .empty());
+  EXPECT_TRUE(bdps_test::identical_trees(tree, before));
+  EXPECT_TRUE(workspace.dist.empty());
+
+  // Restoring it improves nobody: 0 -> 2 costs 200 against 110.
+  batch.clear();
+  toggle_link(g, 0, 2, false, down, batch);
+  EXPECT_TRUE(
+      repair_tree_toward(g, incoming, down, {}, batch, tree, workspace)
+          .empty());
+  EXPECT_TRUE(bdps_test::identical_trees(tree, before));
+  EXPECT_TRUE(workspace.dist.empty());
+
+  // A cut on the tree does the work.
+  batch.clear();
+  toggle_link(g, 1, 2, true, down, batch);
+  EXPECT_EQ(repair_tree_toward(g, incoming, down, batch, {}, tree, workspace),
+            (std::vector<BrokerId>{0, 1}));
+  EXPECT_EQ(workspace.dist.size(), g.broker_count());
+}
+
+/// The same on a scale-free graph: failing and then restoring every link
+/// with no direction on the tree never changes it.
+TEST(SptRepair, OffTreeChurnLeavesScaleFreeTreeUnchanged) {
+  Rng rng(11);
+  const Topology topo =
+      build_scale_free(rng, 64, 4, 8, 64 * 4, 50.0, 100.0, 20.0);
+  const Graph& g = topo.graph;
+  const auto incoming = incoming_edges(g);
+  for (const BrokerId dest : {BrokerId{0}, BrokerId{40}}) {
+    ShortestPathTree tree = compute_tree_toward(g, dest);
+    const ShortestPathTree before = tree;
+    EdgeFlags down(g.edge_count());
+    std::vector<EdgeId> batch;
+    for (std::size_t e = 0; e < g.edge_count(); ++e) {
+      const Edge& edge = g.edge(static_cast<EdgeId>(e));
+      if (edge.from > edge.to) continue;
+      const bool forward_on_tree = tree.next_hop[edge.from] == edge.to;
+      const bool reverse_on_tree = tree.next_hop[edge.to] == edge.from;
+      if (forward_on_tree || reverse_on_tree) continue;
+      toggle_link(g, edge.from, edge.to, true, down, batch);
+    }
+    ASSERT_FALSE(batch.empty());
+    SptWorkspace workspace;
+    EXPECT_TRUE(
+        repair_tree_toward(g, incoming, down, batch, {}, tree, workspace)
+            .empty());
+    EXPECT_TRUE(bdps_test::identical_trees(tree, before)) << dest;
+    for (const EdgeId e : batch) down.reset(e);
+    EXPECT_TRUE(
+        repair_tree_toward(g, incoming, down, {}, batch, tree, workspace)
+            .empty());
+    EXPECT_TRUE(bdps_test::identical_trees(tree, before)) << dest;
+    EXPECT_TRUE(workspace.dist.empty()) << dest;
+  }
+}
 
 // ---- Repairable fabric: row surgery and match routing ----
 

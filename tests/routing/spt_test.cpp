@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "common/random.h"
+#include "routing/fabric.h"
 #include "topology/builders.h"
+#include "tree_identity.h"
 
 namespace bdps {
 namespace {
@@ -118,6 +127,122 @@ TEST_P(SptSuffixProperty, StatsMatchManualPathSum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SptSuffixProperty,
                          ::testing::Values(1u, 2u, 3u, 17u, 99u));
+
+TEST(ShortestPathTree, DestinationOutsideGraphRejected) {
+  const Graph g = line_with_shortcut();
+  EXPECT_THROW(compute_tree_toward(g, 3), std::invalid_argument);
+  EXPECT_THROW(compute_tree_toward(g, -1), std::invalid_argument);
+  SptWorkspace workspace;
+  const IncomingEdges incoming = incoming_edges(g);
+  EXPECT_THROW(compute_tree_toward(g, incoming, 99, workspace),
+               std::invalid_argument);
+  // An adjacency built for another graph is rejected too.
+  EXPECT_THROW(compute_tree_toward(g, IncomingEdges(2), 0, workspace),
+               std::invalid_argument);
+  // The workspace stays usable after a rejected call.
+  EXPECT_TRUE(bdps_test::identical_trees(
+      compute_tree_toward(g, incoming, 2, workspace), compute_tree_toward(g, 2)));
+}
+
+/// The shared reverse adjacency lists each broker's incoming edges by
+/// source broker ascending, then in the source's out-edge order.
+TEST(ShortestPathTree, IncomingEdgesFollowSourceThenInsertionOrder) {
+  Graph g(3);
+  g.add_edge(2, 0, LinkParams{10.0, 1.0});  // Edge 0.
+  g.add_edge(1, 0, LinkParams{10.0, 1.0});  // Edge 1.
+  g.add_edge(2, 1, LinkParams{10.0, 1.0});  // Edge 2.
+  g.add_edge(1, 2, LinkParams{10.0, 1.0});  // Edge 3.
+  g.add_edge(2, 0, LinkParams{20.0, 1.0});  // Edge 4: parallel to edge 0.
+  const IncomingEdges incoming = incoming_edges(g);
+  ASSERT_EQ(incoming.size(), 3u);
+  EXPECT_EQ(incoming[0], (std::vector<EdgeId>{1, 0, 4}));
+  EXPECT_EQ(incoming[1], (std::vector<EdgeId>{2}));
+  EXPECT_EQ(incoming[2], (std::vector<EdgeId>{3}));
+}
+
+/// One reused SptWorkspace carries nothing from one tree to the next: on
+/// scale-free graphs of the benchmark's shape, every destination's tree
+/// built through one shared workspace — in ascending, descending and
+/// shuffled order — equals bit for bit the tree built with a fresh
+/// workspace and with the one-off compute_tree_toward(graph, destination).
+class SptWorkspaceReuse
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
+};
+
+TEST_P(SptWorkspaceReuse, AnyOrderMatchesFreshWorkspaces) {
+  const auto [brokers, seed] = GetParam();
+  Rng rng(seed);
+  const Topology topo = build_scale_free(rng, brokers, 4, 8, brokers * 4,
+                                         50.0, 100.0, 20.0);
+  const Graph& g = topo.graph;
+  const IncomingEdges incoming = incoming_edges(g);
+
+  std::vector<ShortestPathTree> fresh;
+  for (std::size_t d = 0; d < brokers; ++d) {
+    SptWorkspace workspace;
+    fresh.push_back(compute_tree_toward(g, incoming, static_cast<BrokerId>(d),
+                                        workspace));
+    ASSERT_TRUE(bdps_test::identical_trees(
+        fresh.back(), compute_tree_toward(g, static_cast<BrokerId>(d))))
+        << "destination " << d;
+  }
+
+  std::vector<BrokerId> ascending(brokers);
+  std::iota(ascending.begin(), ascending.end(), BrokerId{0});
+  std::vector<BrokerId> descending(ascending.rbegin(), ascending.rend());
+  std::vector<BrokerId> shuffled = ascending;
+  rng.shuffle(shuffled);
+  for (const auto& [name, order] :
+       {std::pair{"ascending", &ascending},
+        std::pair{"descending", &descending},
+        std::pair{"shuffled", &shuffled}}) {
+    SptWorkspace shared;
+    for (const BrokerId d : *order) {
+      ASSERT_TRUE(bdps_test::identical_trees(
+          compute_tree_toward(g, incoming, d, shared), fresh[d]))
+          << name << " order, destination " << d;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ScaleFree, SptWorkspaceReuse,
+    ::testing::Combine(::testing::Values(std::size_t{64}, std::size_t{256}),
+                       ::testing::Values(std::uint64_t{1}, std::uint64_t{2},
+                                         std::uint64_t{3})));
+
+/// The fabric builds every home's tree from one shared adjacency and one
+/// workspace; each must equal the one-off tree bit for bit, repairable or
+/// not.
+TEST(ShortestPathTree, FabricTreesEqualOneOffTrees) {
+  Rng rng(5);
+  const Topology topo =
+      build_scale_free(rng, 256, 4, 8, 256 * 4, 50.0, 100.0, 20.0);
+  std::vector<Subscription> subs;
+  for (std::size_t s = 0; s < topo.subscriber_homes.size(); ++s) {
+    Subscription sub;
+    sub.subscriber = static_cast<SubscriberId>(s);
+    sub.home = topo.subscriber_homes[s];
+    sub.allowed_delay = minutes(2.0);
+    sub.price = 1.0;
+    subs.push_back(sub);
+  }
+  std::vector<BrokerId> homes = topo.subscriber_homes;
+  std::sort(homes.begin(), homes.end());
+  homes.erase(std::unique(homes.begin(), homes.end()), homes.end());
+  ASSERT_GT(homes.size(), 200u);
+
+  for (const bool repairable : {false, true}) {
+    FabricOptions options;
+    options.repairable = repairable;
+    const RoutingFabric fabric(topo, subs, options);
+    for (const BrokerId h : homes) {
+      ASSERT_TRUE(bdps_test::identical_trees(
+          fabric.tree_toward(h), compute_tree_toward(topo.graph, h)))
+          << (repairable ? "repairable" : "plain") << " fabric, home " << h;
+    }
+  }
+}
 
 TEST(PathStats, AlgebraIsComponentWise) {
   const PathStats a{2, 100.0, 400.0};

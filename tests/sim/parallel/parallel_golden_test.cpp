@@ -70,7 +70,8 @@ TEST_P(ParallelGolden, EveryGoldenCaseIsBitwiseIdentical) {
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ParallelGolden,
                          ::testing::Values(1u, 2u, 4u, 7u),
                          [](const auto& info) {
-                           return "P" + std::to_string(info.param);
+                           return std::string("P").append(
+                               std::to_string(info.param));
                          });
 
 }  // namespace

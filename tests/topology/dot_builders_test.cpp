@@ -137,7 +137,7 @@ TEST(DotExport, PaperTopologyRendersAllBrokers) {
   const Topology topo = build_paper_topology(rng);
   const std::string dot = to_dot(topo);
   for (int b = 0; b < 32; ++b) {
-    EXPECT_NE(dot.find("B" + std::to_string(b) + " [label"),
+    EXPECT_NE(dot.find(std::string("B").append(std::to_string(b)) + " [label"),
               std::string::npos)
         << b;
   }
