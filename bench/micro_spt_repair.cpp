@@ -12,13 +12,18 @@
 // BM_BuildAllTrees is the RoutingFabric constructor's routing work: every
 // subscriber home's in-tree on the benchmark's scale-free shape (4 edges
 // per node, 4 subscribers per broker), from one shared reverse adjacency
-// and one reused workspace.
+// and one reused workspace.  BM_FabricBuild is the whole constructor on the
+// same shape (8 publishers): those trees plus one install plan per home and
+// every subscription's table rows and index entries, plain (trees dropped
+// once planned) and repairable (trees kept); the gap to BM_BuildAllTrees is
+// the install.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "common/random.h"
+#include "routing/fabric.h"
 #include "routing/spt.h"
 #include "topology/builders.h"
 
@@ -107,10 +112,42 @@ void BM_BuildAllTrees(benchmark::State& state) {
                           static_cast<std::int64_t>(homes.size()));
 }
 
+void BM_FabricBuild(benchmark::State& state) {
+  const auto brokers = static_cast<std::size_t>(state.range(0));
+  FabricOptions options;
+  options.repairable = state.range(1) != 0;
+  Rng rng(1);
+  const Topology topo = build_scale_free(rng, brokers, 4, 8, brokers * 4,
+                                         50.0, 100.0, 20.0);
+  std::vector<Subscription> subs;
+  for (std::size_t s = 0; s < topo.subscriber_homes.size(); ++s) {
+    Subscription sub;
+    sub.subscriber = static_cast<SubscriberId>(s);
+    sub.home = topo.subscriber_homes[s];
+    sub.allowed_delay = minutes(2.0);
+    sub.price = 1.0;
+    subs.push_back(sub);
+  }
+  std::size_t rows = 0;
+  for (auto _ : state) {
+    const RoutingFabric fabric(topo, subs, options);
+    rows = 0;
+    for (BrokerId b = 0; b < static_cast<BrokerId>(brokers); ++b) {
+      rows += fabric.table(b).size();
+    }
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+}
+
 #define REPAIR_ARGS ->Arg(64)->Arg(512)->Arg(4096)
 BENCHMARK(BM_FullRebuildAfterCut) REPAIR_ARGS;
 BENCHMARK(BM_IncrementalRepairCycle) REPAIR_ARGS;
 BENCHMARK(BM_BuildAllTrees)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FabricBuild)
+    ->ArgNames({"brokers", "repairable"})
+    ->ArgsProduct({{256, 1024}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,7 +1,10 @@
 #include "common/config.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 namespace bdps {
 
@@ -11,6 +14,19 @@ std::string trim(const std::string& s) {
   if (begin == std::string::npos) return "";
   const auto end = s.find_last_not_of(" \t\r\n");
   return s.substr(begin, end - begin + 1);
+}
+
+[[noreturn]] void reject(const std::string& key, const std::string& value) {
+  throw std::invalid_argument("bad value for " + key + ": '" + value + "'");
+}
+
+/// The whole of `text` as a double; rejects an empty parse or trailing
+/// characters.
+double parse_double(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0') reject(key, text);
+  return value;
 }
 }  // namespace
 
@@ -60,18 +76,22 @@ std::string KeyValueConfig::get_string(const std::string& key,
 double KeyValueConfig::get_double(const std::string& key,
                                   double fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  return (end == it->second.c_str()) ? fallback : value;
+  return it == values_.end() ? fallback : parse_double(key, it->second);
 }
 
 int KeyValueConfig::get_int(const std::string& key, int fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
   char* end = nullptr;
-  const long value = std::strtol(it->second.c_str(), &end, 10);
-  return (end == it->second.c_str()) ? fallback : static_cast<int>(value);
+  errno = 0;
+  const long value = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    reject(key, text);
+  }
+  return static_cast<int>(value);
 }
 
 bool KeyValueConfig::get_bool(const std::string& key, bool fallback) const {
@@ -80,7 +100,7 @@ bool KeyValueConfig::get_bool(const std::string& key, bool fallback) const {
   const std::string& v = it->second;
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  return fallback;
+  reject(key, v);
 }
 
 std::vector<double> KeyValueConfig::get_double_list(
@@ -91,8 +111,9 @@ std::vector<double> KeyValueConfig::get_double_list(
   std::istringstream in(it->second);
   std::string item;
   while (std::getline(in, item, ',')) {
-    if (trim(item).empty()) continue;
-    result.push_back(std::strtod(item.c_str(), nullptr));
+    item = trim(item);
+    if (item.empty()) continue;
+    result.push_back(parse_double(key, item));
   }
   return result.empty() ? fallback : result;
 }

@@ -27,11 +27,16 @@ class KeyValueConfig {
 
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
+  /// The typed getters return `fallback` when `key` is absent and throw
+  /// std::invalid_argument("bad value for <key>: '<value>'") when its value
+  /// does not parse whole (empty, trailing characters, an int out of range,
+  /// a bool spelt other than 1/0, true/false, yes/no, on/off).
   double get_double(const std::string& key, double fallback) const;
   int get_int(const std::string& key, int fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
-  /// Parses "1,2,5" style lists.
+  /// Parses "1,2,5" style lists (empty items skipped; `fallback` when no
+  /// item is left).  Throws like get_double on an item that does not parse.
   std::vector<double> get_double_list(const std::string& key,
                                       const std::vector<double>& fallback) const;
 

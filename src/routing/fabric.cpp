@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -69,104 +68,49 @@ RoutingFabric::RoutingFabric(const Topology& topology,
   tables_.resize(n);
   broker_indexes_.resize(n);
   row_of_id_.resize(n);
+  publisher_edges_ = topology.publisher_edges;
+  std::vector<std::uint8_t> is_home(n, 0);
+  for (const Subscription& sub : subscriptions_) is_home[sub.home] = 1;
   if (options_.repairable) {
     graph_ = topology.graph;
-    publisher_edges_ = topology.publisher_edges;
     link_down_.assign(graph_.edge_count());
+    trees_.resize(n);
+    subs_by_home_.resize(n);
     rows_by_sub_.resize(subscriptions_.size());
     for (std::size_t i = 0; i < subscriptions_.size(); ++i) {
       subs_by_home_[subscriptions_[i].home].push_back(i);
     }
   }
 
-  // One shortest-path tree per distinct subscriber home broker, all from
-  // one reverse adjacency and one workspace.  A repairable fabric keeps the
-  // adjacency for its repairs.
+  // One shortest-path tree per distinct subscriber home, all from one
+  // reverse adjacency and one workspace, and from each tree its home's
+  // install plan: home h's rows are plan_rows[plan_begin[h] ..
+  // plan_begin[h + 1]).  A plain fabric drops each tree once its plan is
+  // derived; a repairable one keeps the trees and the adjacency for its
+  // repairs.
   IncomingEdges incoming = incoming_edges(topology.graph);
   SptWorkspace workspace;
-  for (const Subscription& sub : subscriptions_) {
-    if (!trees_.count(sub.home)) {
-      trees_.emplace(sub.home, compute_tree_toward(topology.graph, incoming,
-                                                   sub.home, workspace));
-    }
+  PlanScratch scratch;
+  std::vector<PlanRow> plan_rows;
+  std::vector<std::size_t> plan_begin(n + 1);
+  for (std::size_t h = 0; h < n; ++h) {
+    plan_begin[h] = plan_rows.size();
+    if (is_home[h] == 0) continue;
+    ShortestPathTree tree = compute_tree_toward(
+        topology.graph, incoming, static_cast<BrokerId>(h), workspace);
+    derive_plan(topology.graph, tree, scratch, plan_rows);
+    if (options_.repairable) trees_[h] = std::move(tree);
   }
+  plan_begin[n] = plan_rows.size();
   if (options_.repairable) incoming_ = std::move(incoming);
 
-  // Install each subscription on the union of chosen publisher->home paths,
-  // remembering per broker *which* publishers route through it (the
-  // publisher_mask guard; see SubscriptionEntry).
+  // Subscriptions in ascending order, each taking its home's plan, so every
+  // table lists its rows by subscription and, within one, primary before
+  // alternate.
   for (std::size_t si = 0; si < subscriptions_.size(); ++si) {
-    const Subscription& sub = subscriptions_[si];
-    const ShortestPathTree& tree = trees_.at(sub.home);
-    std::map<BrokerId, std::uint64_t> installed;  // broker -> publisher mask
-    for (std::size_t p = 0; p < topology.publisher_edges.size(); ++p) {
-      const BrokerId publisher_edge = topology.publisher_edges[p];
-      if (!tree.reachable[publisher_edge]) continue;
-      for (const BrokerId broker : tree.path_from(publisher_edge)) {
-        installed[broker] |= 1ULL << p;
-      }
-    }
-    // The home broker always carries a local-delivery row serving every
-    // publisher (a message can only arrive there along an installed path).
-    installed[sub.home] = ~0ULL;
-
-    // Multi-path: brokers on a primary path additionally forward toward
-    // their second-best neighbour — which means every broker on that
-    // neighbour's own (primary) path to the home must carry entries too,
-    // or redundant copies would die unrouted.  One level of redundancy:
-    // alternate-path brokers get primary entries only.
-    std::map<BrokerId, BrokerId> alt_hops;  // primary broker -> alt neighbour
-    if (options.multipath) {
-      std::map<BrokerId, std::uint64_t> extra;
-      for (const auto& [broker, mask] : installed) {
-        if (broker == sub.home) continue;
-        const BrokerId alt = second_best_next_hop(
-            topology.graph, tree, broker, tree.next_hop[broker], nullptr);
-        if (alt == kNoBroker) continue;
-        alt_hops[broker] = alt;
-        for (const BrokerId w : tree.path_from(alt)) {
-          extra[w] |= mask;
-        }
-      }
-      for (const auto& [broker, mask] : extra) {
-        installed[broker] |= mask;
-      }
-    }
-
-    for (const auto& [broker, mask] : installed) {
-      SubscriptionEntry entry;
-      entry.subscription = &sub;
-      entry.publisher_mask = mask;
-      if (broker == sub.home) {
-        entry.next_hop = kNoBroker;
-        entry.path = kLocalPath;
-      } else {
-        entry.next_hop = tree.next_hop[broker];
-        entry.next_hop_edge =
-            topology.graph.edge_id(broker, entry.next_hop);
-        entry.path = tree.stats[broker];
-      }
-      const auto row = static_cast<std::uint32_t>(tables_[broker].size());
-      if (options_.repairable) {
-        rows_by_sub_[si].push_back(RowRef{broker, row});
-      }
-      tables_[broker].add(entry);
-      install_match_row(broker, row);
-
-      const auto alt_it = alt_hops.find(broker);
-      if (alt_it != alt_hops.end()) {
-        PathStats alt_stats;
-        const BrokerId alt = second_best_next_hop(
-            topology.graph, tree, broker, entry.next_hop, &alt_stats);
-        if (alt == alt_it->second) {
-          SubscriptionEntry alt_entry = entry;
-          alt_entry.next_hop = alt;
-          alt_entry.next_hop_edge = topology.graph.edge_id(broker, alt);
-          alt_entry.path = alt_stats;
-          tables_[broker].add(alt_entry);
-          install_match_row(broker, row + 1);
-        }
-      }
+    const auto home = static_cast<std::size_t>(subscriptions_[si].home);
+    for (std::size_t k = plan_begin[home]; k < plan_begin[home + 1]; ++k) {
+      install_match_row(plan_rows[k].broker, append_row(si, plan_rows[k]));
     }
   }
 
@@ -176,6 +120,105 @@ RoutingFabric::RoutingFabric(const Topology& topology,
       global_index_.add_disjunct(id, f);
     }
   }
+}
+
+void RoutingFabric::derive_plan(const Graph& graph,
+                                const ShortestPathTree& tree,
+                                PlanScratch& scratch,
+                                std::vector<PlanRow>& plan) const {
+  const BrokerId home = tree.destination;
+  std::vector<std::uint64_t>& mask = scratch.mask;
+  std::vector<BrokerId>& touched = scratch.touched;
+  mask.resize(graph.broker_count(), 0);
+  scratch.extra.resize(graph.broker_count(), 0);
+  touched.clear();
+  // ORs `bits` into masks[b] for every broker b on the tree path from
+  // `from` to the home, listing each broker the first time it is marked.
+  const auto mark_path = [&tree, home](BrokerId from, std::uint64_t bits,
+                                       std::vector<std::uint64_t>& masks,
+                                       std::vector<BrokerId>& marked) {
+    for (BrokerId b = from;; b = tree.next_hop[b]) {
+      if (masks[b] == 0) marked.push_back(b);
+      masks[b] |= bits;
+      if (b == home) break;
+    }
+  };
+
+  // The union of chosen publisher->home paths, remembering per broker
+  // *which* publishers route through it (the publisher_mask guard; see
+  // SubscriptionEntry).  The home broker always carries a local-delivery
+  // row serving every publisher (a message can only arrive there along an
+  // installed path).
+  for (std::size_t p = 0; p < publisher_edges_.size(); ++p) {
+    const BrokerId publisher_edge = publisher_edges_[p];
+    if (tree.reachable[publisher_edge]) {
+      mark_path(publisher_edge, 1ULL << p, mask, touched);
+    }
+  }
+  if (mask[home] == 0) touched.push_back(home);
+  mask[home] = ~0ULL;
+  std::sort(touched.begin(), touched.end());
+
+  // Multi-path: brokers on a primary path additionally forward toward
+  // their second-best neighbour — which means every broker on that
+  // neighbour's own (primary) path to the home must carry entries too, or
+  // redundant copies would die unrouted.  One level of redundancy:
+  // alternate-path brokers get primary entries only.
+  std::vector<PlanRow>& alternates = scratch.alternates;
+  alternates.clear();
+  if (options_.multipath) {
+    for (const BrokerId b : touched) {
+      if (b == home) continue;
+      PlanRow alternate{b, {}};
+      const BrokerId alt = second_best_next_hop(
+          graph, tree, b, tree.next_hop[b], &alternate.entry.path);
+      if (alt == kNoBroker) continue;
+      alternate.entry.next_hop = alt;
+      alternate.entry.next_hop_edge = graph.edge_id(b, alt);
+      alternates.push_back(alternate);
+      mark_path(alt, mask[b], scratch.extra, scratch.extra_touched);
+    }
+    for (const BrokerId w : scratch.extra_touched) {
+      if (mask[w] == 0) touched.push_back(w);
+      mask[w] |= scratch.extra[w];
+      scratch.extra[w] = 0;
+    }
+    scratch.extra_touched.clear();
+    std::sort(touched.begin(), touched.end());
+  }
+
+  auto alternate = alternates.begin();
+  for (const BrokerId b : touched) {
+    PlanRow row{b, {}};
+    row.entry.publisher_mask = mask[b];
+    mask[b] = 0;
+    if (b == home) {
+      row.entry.next_hop = kNoBroker;
+      row.entry.path = kLocalPath;
+    } else {
+      row.entry.next_hop = tree.next_hop[b];
+      row.entry.next_hop_edge = graph.edge_id(b, row.entry.next_hop);
+      row.entry.path = tree.stats[b];
+    }
+    plan.push_back(row);
+    if (alternate != alternates.end() && alternate->broker == b) {
+      alternate->entry.publisher_mask = row.entry.publisher_mask;
+      plan.push_back(*alternate++);
+    }
+  }
+}
+
+std::uint32_t RoutingFabric::append_row(std::size_t sub_index,
+                                        const PlanRow& plan_row) {
+  SubscriptionEntry entry = plan_row.entry;
+  entry.subscription = &subscriptions_[sub_index];
+  SubscriptionTable& table = tables_[plan_row.broker];
+  const auto row = static_cast<std::uint32_t>(table.size());
+  table.add(entry);
+  if (options_.repairable) {
+    rows_by_sub_[sub_index].push_back(RowRef{plan_row.broker, row});
+  }
+  return row;
 }
 
 void RoutingFabric::install_match_row(BrokerId broker, std::uint32_t row) {
@@ -224,7 +267,14 @@ const std::vector<std::size_t>& RoutingFabric::match_all(
 }
 
 const ShortestPathTree& RoutingFabric::tree_toward(BrokerId home) const {
-  return trees_.at(home);
+  if (!options_.repairable) {
+    throw std::logic_error("tree_toward requires FabricOptions::repairable");
+  }
+  if (home < 0 || static_cast<std::size_t>(home) >= trees_.size() ||
+      trees_[home].destination != home) {
+    throw std::out_of_range("tree_toward: no subscription homed there");
+  }
+  return trees_[home];
 }
 
 std::size_t RoutingFabric::apply_link_state(
@@ -244,15 +294,23 @@ std::size_t RoutingFabric::apply_link_state(
   for (std::size_t b = 0; b < tables_.size(); ++b) {
     rows_before[b] = tables_[b].size();
   }
+  // Homes ascending, each home's subscriptions ascending: the order in
+  // which rewritten rows are appended.
   SptWorkspace workspace;
-  for (auto& [home, tree] : trees_) {
+  PlanScratch scratch;
+  std::vector<PlanRow> plan;
+  for (std::size_t home = 0; home < trees_.size(); ++home) {
+    if (subs_by_home_[home].empty()) continue;
+    ShortestPathTree& tree = trees_[home];
     const std::vector<BrokerId> changed = repair_tree_toward(
         graph_, incoming_, link_down_, edges_down, edges_up, tree, workspace);
     if (changed.empty()) continue;
     std::fill(changed_flags.begin(), changed_flags.end(), 0);
     for (const BrokerId b : changed) changed_flags[b] = 1;
-    for (const std::size_t si : subs_by_home_.at(home)) {
-      rewritten += reinstall(si, tree, changed_flags, retired);
+    plan.clear();
+    derive_plan(graph_, tree, scratch, plan);
+    for (const std::size_t si : subs_by_home_[home]) {
+      rewritten += reinstall(si, plan, changed_flags, retired);
     }
   }
 
@@ -273,60 +331,30 @@ std::size_t RoutingFabric::apply_link_state(
 }
 
 std::size_t RoutingFabric::reinstall(
-    std::size_t sub_index, const ShortestPathTree& tree,
+    std::size_t sub_index, const std::vector<PlanRow>& plan,
     const std::vector<std::uint8_t>& changed,
     std::vector<std::uint8_t>& retired) {
-  const Subscription& sub = subscriptions_[sub_index];
-  // Desired install set from the repaired tree — the constructor's
-  // publisher-path union (single-path; repairable excludes multipath).
-  std::map<BrokerId, std::uint64_t> installed;
-  for (std::size_t p = 0; p < publisher_edges_.size(); ++p) {
-    const BrokerId publisher_edge = publisher_edges_[p];
-    if (!tree.reachable[publisher_edge]) continue;
-    for (const BrokerId broker : tree.path_from(publisher_edge)) {
-      installed[broker] |= 1ULL << p;
-    }
-  }
-  installed[sub.home] = ~0ULL;
-
   // Fast path: skip the rewrite when the install set, the masks and every
-  // carrying broker's tree state are untouched by this repair.
+  // carrying broker's tree state are untouched by this repair.  The rows
+  // and the plan both ascend by broker, so they compare pairwise.
   std::vector<RowRef>& rows = rows_by_sub_[sub_index];
-  bool identical = rows.size() == installed.size();
-  if (identical) {
-    for (const RowRef& r : rows) {
-      const auto it = installed.find(r.broker);
-      if (it == installed.end() || changed[r.broker] != 0 ||
-          tables_[r.broker].entry_at(r.row).publisher_mask != it->second) {
-        identical = false;
-        break;
-      }
-    }
+  const auto unchanged = [&](const RowRef& r, const PlanRow& p) {
+    return r.broker == p.broker && changed[r.broker] == 0 &&
+           tables_[r.broker].entries()[r.row].publisher_mask ==
+               p.entry.publisher_mask;
+  };
+  if (std::equal(rows.begin(), rows.end(), plan.begin(), plan.end(),
+                 unchanged)) {
+    return 0;
   }
-  if (identical) return 0;
 
   for (const RowRef& r : rows) {
     tables_[r.broker].entry_at(r.row).disabled = true;
     retired[r.broker] = 1;
   }
   rows.clear();
-  for (const auto& [broker, mask] : installed) {
-    SubscriptionEntry entry;
-    entry.subscription = &sub;
-    entry.publisher_mask = mask;
-    if (broker == sub.home) {
-      entry.next_hop = kNoBroker;
-      entry.path = kLocalPath;
-    } else {
-      entry.next_hop = tree.next_hop[broker];
-      entry.next_hop_edge = graph_.edge_id(broker, entry.next_hop);
-      entry.path = tree.stats[broker];
-    }
-    rows.push_back(RowRef{
-        broker, static_cast<std::uint32_t>(tables_[broker].size())});
-    tables_[broker].add(entry);
-  }
-  return installed.size();
+  for (const PlanRow& plan_row : plan) append_row(sub_index, plan_row);
+  return plan.size();
 }
 
 }  // namespace bdps

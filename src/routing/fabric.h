@@ -5,7 +5,11 @@
 // (min-mean-rate, §3.3) path from each publisher edge broker to H; the
 // entry's next hop and remaining-path statistics come from the shortest-
 // path tree toward H, so they are publisher-independent (see
-// routing/spt.h on suffix consistency).
+// routing/spt.h on suffix consistency).  Every subscription at H therefore
+// gets the same rows: the fabric derives one install plan per distinct
+// home from its tree and copies it per subscription.  Only a repairable
+// fabric keeps the trees (it repairs them); a plain one drops each tree
+// once its plan is derived.
 //
 // The fabric also owns one counting index per broker (message/index.h)
 // over that broker's enabled table rows, and a global index used by the
@@ -14,7 +18,7 @@
 // routing repair still answers in ascending row order.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <vector>
 
 #include "message/index.h"
@@ -32,9 +36,10 @@ struct FabricOptions {
   /// from multiplying.  Reproduces the traffic-vs-reliability trade-off the
   /// paper cites for preferring single-path.
   bool multipath = false;
-  /// Keeps the believed graph, its reverse adjacency and a per-subscription
-  /// row registry alive so apply_link_state can repair routing state
-  /// incrementally as links fail and recover mid-run.  Incompatible with
+  /// Keeps the believed graph, its reverse adjacency, every home's
+  /// shortest-path tree and a per-subscription row registry alive so
+  /// apply_link_state can repair routing state incrementally as links fail
+  /// and recover mid-run (and tree_toward can answer).  Incompatible with
   /// multipath (alternate rows are not repaired).
   bool repairable = false;
 };
@@ -91,7 +96,10 @@ class RoutingFabric {
   const std::vector<std::size_t>& match_all(const Message& message) const;
 
   /// The shortest-path tree toward a subscriber's home broker (shared by
-  /// all subscriptions at that broker); mainly for tests and diagnostics.
+  /// all subscriptions at that broker), as repaired by apply_link_state;
+  /// for tests and diagnostics.  Repairable fabrics only: a plain fabric
+  /// keeps no tree and throws std::logic_error.  Throws std::out_of_range
+  /// when no subscription is homed at `home`.
   const ShortestPathTree& tree_toward(BrokerId home) const;
 
   bool repairable() const { return options_.repairable; }
@@ -118,11 +126,43 @@ class RoutingFabric {
                                const std::vector<EdgeId>& edges_up);
 
  private:
-  /// One re-pointed subscription: disable its current rows (flagging
-  /// their brokers in `retired`) and append the desired set from the
-  /// repaired tree to the tables; apply_link_state indexes them.  No-op
-  /// (returning 0) when nothing it depends on changed.
-  std::size_t reinstall(std::size_t sub_index, const ShortestPathTree& tree,
+  /// One row of a home's install plan: the table row that every
+  /// subscription homed there gets at `broker` (entry.subscription unset).
+  struct PlanRow {
+    BrokerId broker;
+    SubscriptionEntry entry;
+  };
+
+  /// derive_plan's broker-indexed scratch; `mask` and `extra` are all zero
+  /// between calls.
+  struct PlanScratch {
+    std::vector<std::uint64_t> mask;
+    std::vector<std::uint64_t> extra;
+    std::vector<BrokerId> touched;        // Brokers with mask != 0.
+    std::vector<BrokerId> extra_touched;  // Brokers with extra != 0.
+    std::vector<PlanRow> alternates;      // Multipath rows, ascending.
+  };
+
+  /// Appends to `plan` the rows of the subscriptions homed at
+  /// tree.destination: the union of the chosen publisher->home paths, each
+  /// broker with the mask of publishers routed through it, the home's
+  /// local row serving every publisher, and (multipath) the alternate
+  /// rows and the brokers on their paths.  Rows ascend by broker; a
+  /// broker's alternate row follows its primary one.
+  void derive_plan(const Graph& graph, const ShortestPathTree& tree,
+                   PlanScratch& scratch, std::vector<PlanRow>& plan) const;
+
+  /// Appends `plan_row` for subscription `sub_index` to its broker's table
+  /// (and, repairable, to the subscription's row registry); returns the
+  /// table row.  The matching index is the caller's business.
+  std::uint32_t append_row(std::size_t sub_index, const PlanRow& plan_row);
+
+  /// One subscription of a repaired home: unless its rows already equal
+  /// `plan` on brokers untouched by the repair, disable them (flagging
+  /// their brokers in `retired`) and append `plan`'s rows to the tables;
+  /// apply_link_state indexes them.  Returns the number of rows appended.
+  std::size_t reinstall(std::size_t sub_index,
+                        const std::vector<PlanRow>& plan,
                         const std::vector<std::uint8_t>& changed,
                         std::vector<std::uint8_t>& retired);
 
@@ -142,7 +182,7 @@ class RoutingFabric {
   /// Per broker: index id -> table row, ascending.
   std::vector<std::vector<std::uint32_t>> row_of_id_;
   SubscriptionIndex global_index_;
-  std::map<BrokerId, ShortestPathTree> trees_;
+  std::vector<BrokerId> publisher_edges_;
 
   // ---- Repairable-fabric state (unused unless options_.repairable) ----
   /// Position of one live table row of a subscription: tables_[broker]'s
@@ -152,13 +192,17 @@ class RoutingFabric {
     std::uint32_t row;
   };
   Graph graph_;
-  std::vector<BrokerId> publisher_edges_;
   EdgeFlags link_down_;
   /// The reverse adjacency the constructor built the trees from
   /// (routing/spt.h: incoming_edges); every repair reuses it.
   IncomingEdges incoming_;
+  /// Per broker: the tree toward it (destination kNoBroker unless some
+  /// subscription is homed there) and the subscriptions homed there,
+  /// ascending.
+  std::vector<ShortestPathTree> trees_;
+  std::vector<std::vector<std::size_t>> subs_by_home_;
+  /// Per subscription: its live rows, ascending by broker.
   std::vector<std::vector<RowRef>> rows_by_sub_;
-  std::map<BrokerId, std::vector<std::size_t>> subs_by_home_;
 };
 
 }  // namespace bdps

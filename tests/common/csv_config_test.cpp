@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/config.h"
 #include "common/csv.h"
@@ -55,23 +58,57 @@ TEST(KeyValueConfig, ParsesArgs) {
   EXPECT_EQ(config.positional()[0], "positional");
 }
 
-TEST(KeyValueConfig, FallbacksWhenMissingOrMalformed) {
+TEST(KeyValueConfig, FallbacksWhenMissing) {
   const char* argv[] = {"prog", "n=abc"};
   const auto config = KeyValueConfig::from_args(2, argv);
-  EXPECT_EQ(config.get_int("n", 7), 7);
   EXPECT_EQ(config.get_int("missing", 9), 9);
   EXPECT_DOUBLE_EQ(config.get_double("missing", 1.5), 1.5);
+  EXPECT_TRUE(config.get_bool("missing", true));
   EXPECT_FALSE(config.has("missing"));
   EXPECT_TRUE(config.has("n"));
 }
 
+/// A present value that does not parse whole is an error, never the
+/// fallback: the message names the key and the value.
+TEST(KeyValueConfig, RejectsMalformedValues) {
+  const char* argv[] = {"prog",       "minutes=abc", "seed=5x",
+                        "multipath=maybe", "empty=",  "rate=1.5s",
+                        "big=3000000000",  "rates=1,x,3", "tail=2,3.5q"};
+  const auto config = KeyValueConfig::from_args(9, argv);
+  const auto message = [](const auto& get) -> std::string {
+    try {
+      get();
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(message([&] { config.get_double("minutes", 5.0); }),
+            "bad value for minutes: 'abc'");
+  EXPECT_EQ(message([&] { config.get_int("seed", 1); }),
+            "bad value for seed: '5x'");
+  EXPECT_EQ(message([&] { config.get_bool("multipath", false); }),
+            "bad value for multipath: 'maybe'");
+  EXPECT_EQ(message([&] { config.get_double_list("rates", {}); }),
+            "bad value for rates: 'x'");
+  EXPECT_THROW(config.get_double("empty", 1.0), std::invalid_argument);
+  EXPECT_THROW(config.get_int("empty", 1), std::invalid_argument);
+  EXPECT_THROW(config.get_bool("empty", true), std::invalid_argument);
+  EXPECT_THROW(config.get_double("rate", 1.0), std::invalid_argument);
+  EXPECT_THROW(config.get_int("rate", 1), std::invalid_argument);
+  EXPECT_THROW(config.get_int("big", 1), std::invalid_argument);
+  EXPECT_THROW(config.get_double_list("tail", {}), std::invalid_argument);
+  // An empty value is an empty list, so the fallback.
+  EXPECT_EQ(config.get_double_list("empty", {4.0}), std::vector<double>{4.0});
+}
+
 TEST(KeyValueConfig, BoolSpellings) {
-  const char* argv[] = {"prog", "a=1", "b=off", "c=yes", "d=maybe"};
+  const char* argv[] = {"prog", "a=1", "b=off", "c=yes", "d=false"};
   const auto config = KeyValueConfig::from_args(5, argv);
   EXPECT_TRUE(config.get_bool("a", false));
   EXPECT_FALSE(config.get_bool("b", true));
   EXPECT_TRUE(config.get_bool("c", false));
-  EXPECT_TRUE(config.get_bool("d", true));  // Unparseable -> fallback.
+  EXPECT_FALSE(config.get_bool("d", true));
 }
 
 TEST(KeyValueConfig, DoubleLists) {

@@ -148,8 +148,8 @@ TEST(RoutingFabric, PaperTopologyTablesAreConsistent) {
   // mean at the publisher edge exceeds the same subscription's mean at the
   // next hop (strictly, by that link's mean).
   const SubscriptionEntry& first = fabric.table(0).entries()[0];
-  const ShortestPathTree& tree =
-      fabric.tree_toward(first.subscription->home);
+  const ShortestPathTree tree =
+      compute_tree_toward(topo.graph, first.subscription->home);
   EXPECT_GT(first.path.mean_ms_per_kb,
             tree.stats[first.next_hop].mean_ms_per_kb);
 }
